@@ -5,13 +5,13 @@ pipeline, Geo-Indistinguishability, Wait-For-Me, and the trivial anchors —
 exposes the same minimal interface: transform a :class:`MobilityDataset` into
 the dataset that gets published.  The experiment harness only relies on this
 interface, so adding a new mechanism to the comparison means implementing a
-single method.
+single method (and registering the class with ``@register_mechanism``).
 
 The ``publish() -> MobilityDataset`` surface is the *legacy* one.  The
 unified API (:mod:`repro.api`) wraps these mechanisms so ``publish()``
-returns a provenance-carrying
-:class:`~repro.api.result.PublicationResult`; :meth:`publish_result` is the
-bridge, and mechanisms can feed it by exposing three optional hooks:
+returns a provenance-carrying :class:`~repro.api.result.PublicationResult`;
+:func:`~repro.api.adapters.publish_result` is the bridge, and mechanisms can
+feed it by exposing three optional hooks:
 
 * ``last_report`` — an :class:`~repro.core.pipeline.AnonymizationReport`
   from the most recent publication;
@@ -23,12 +23,9 @@ bridge, and mechanisms can feed it by exposing three optional hooks:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Dict
+from typing import Dict
 
 from ..core.trajectory import MobilityDataset
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..api.result import PublicationResult
 
 __all__ = ["PublicationMechanism"]
 
@@ -42,12 +39,6 @@ class PublicationMechanism(ABC):
     @abstractmethod
     def publish(self, dataset: MobilityDataset) -> MobilityDataset:
         """Return the protected dataset; the input is never modified."""
-
-    def publish_result(self, dataset: MobilityDataset) -> "PublicationResult":
-        """Publish under the unified API: dataset plus provenance."""
-        from ..api.adapters import publish_result
-
-        return publish_result(self, dataset, label=self.name)
 
     def public_properties(self) -> Dict[str, object]:
         """Parameters this mechanism publicly announces (none by default)."""

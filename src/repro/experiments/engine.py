@@ -23,10 +23,13 @@ Each cell yields one row ``{"world", "seed", "mechanism", "attack",
 **attack columns, **metric columns}``; rows come back in deterministic
 cross-product order regardless of worker scheduling.
 
-Axis entries may also be ``(label, item)`` pairs — and mechanism items may be
-live mechanism *objects*, which keeps the legacy ``run_*(world, {"name":
-mechanism})`` call sites working — but only string specs are picklable and
-cacheable, so object cells always run in-process and uncached.
+Axis entries may also be ``(label, spec)`` pairs.  Spec strings are the only
+item type an axis accepts — anything else raises
+:class:`~repro.api.registry.RegistryError` — so every cell is picklable,
+cacheable and runs on whichever scheduler backend the engine was given.  A
+custom mechanism or attack joins a sweep by registering itself
+(``@register_mechanism("my-mech")`` / ``@register_attack(...)``) and being
+named by spec; pre-built worlds travel through ``run(spec, worlds={...})``.
 
 A reserved ``prefix`` parameter namespaces a component's columns
 (``"area-coverage:cell_size_m=200,prefix=cov_"`` -> ``cov_f_score``), which
@@ -40,7 +43,6 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from ..api.adapters import publish_result
 from ..api.registry import (
     ATTACKS,
     METRICS,
@@ -48,7 +50,6 @@ from ..api.registry import (
     make_mechanism,
     parse_spec,
 )
-from ..api.result import PublicationResult
 from ..core.trajectory import MobilityDataset
 from .backends import SchedulerBackend, make_backend
 from .cache import CellCacheStore, make_cache_store, serialize_cell_key
@@ -72,22 +73,23 @@ __all__ = [
 # Experiment specification
 # ---------------------------------------------------------------------------
 
-#: An axis entry: a spec string, or an explicit (label, spec-or-object) pair.
-AxisEntry = Union[str, Tuple[str, Any]]
+#: An axis entry: a spec string, or an explicit (label, spec) pair.
+AxisEntry = Union[str, Tuple[str, str]]
 
 
-def _normalize_axis(entries: Sequence[AxisEntry], kind: str) -> List[Tuple[str, Any]]:
-    normalized: List[Tuple[str, Any]] = []
+def _normalize_axis(entries: Sequence[AxisEntry], kind: str) -> List[Tuple[str, str]]:
+    """``(label, spec)`` per entry; anything but a spec string is rejected."""
+    normalized: List[Tuple[str, str]] = []
     for entry in entries:
-        if isinstance(entry, tuple):
-            label, item = entry
-            normalized.append((str(label), item))
-        elif isinstance(entry, str):
-            normalized.append((entry, entry))
-        elif entry is None and kind == "attack":
-            normalized.append(("", None))
-        else:
-            normalized.append((getattr(entry, "name", type(entry).__name__), entry))
+        label, item = entry if isinstance(entry, tuple) else (entry, entry)
+        if not isinstance(item, str):
+            raise RegistryError(
+                f"{kind} axis entry {item!r} is not a registry spec string; "
+                "register custom components with @register_mechanism / "
+                "@register_attack / @register_world and name them by spec, or "
+                "pass built worlds as EvaluationEngine.run(spec, worlds={label: world})"
+            )
+        normalized.append((str(label), item))
     return normalized
 
 
@@ -112,8 +114,7 @@ class ExperimentSpec:
     name:
         Experiment identifier (used in logs and cache partitioning).
     mechanisms:
-        Mechanism axis: spec strings, ``(label, spec)`` pairs, or
-        ``(label, mechanism object)`` pairs.
+        Mechanism axis: spec strings or ``(label, spec)`` pairs.
     attacks:
         Attack axis: evaluator specs (``poi-retrieval:...``) or ``None`` for
         attack-free cells.  Defaults to one attack-free entry.
@@ -153,7 +154,10 @@ class ExperimentSpec:
     def cells(self) -> List[Dict[str, Any]]:
         """The ordered cross product as flat cell descriptors."""
         mechanisms = _normalize_axis(self.mechanisms, "mechanism")
-        attacks = _normalize_axis(self.attacks, "attack")
+        attacks: List[Tuple[str, Optional[str]]] = [
+            ("", None) if entry is None else _normalize_axis([entry], "attack")[0]
+            for entry in self.attacks
+        ]
         groups = _normalize_metric_groups(self.metrics)
         worlds = _normalize_axis(self.worlds, "world")
         cells: List[Dict[str, Any]] = []
@@ -221,15 +225,6 @@ def _apply_prefix(columns: Mapping[str, Any], prefix: str) -> Dict[str, Any]:
     return {prefix + key: value for key, value in columns.items()}
 
 
-def _publish_for_group(
-    mech_item: Any, mech_label: str, input_dataset: MobilityDataset, seed: int
-) -> PublicationResult:
-    if isinstance(mech_item, str):
-        mechanism = make_mechanism(mech_item, defaults={"seed": seed})
-        return mechanism.publish(input_dataset)
-    return publish_result(mech_item, input_dataset, label=mech_label)
-
-
 #: Attack names already warned about falling back from stream to batch mode
 #: (per process: worker fan-out re-warns at most once per worker).
 _STREAM_FALLBACK_WARNED: Set[str] = set()
@@ -257,7 +252,7 @@ def _evaluate_group(payload: Tuple) -> List[Tuple[int, Dict[str, Any]]]:
     """
     (world, world_label, input_spec, seed, mech_label, mech_item, cell_args, mode) = payload
     input_dataset = _resolve_input(world, input_spec)
-    result = _publish_for_group(mech_item, mech_label, input_dataset, seed)
+    result = make_mechanism(mech_item, defaults={"seed": seed}).publish(input_dataset)
     context = EvalContext(
         world=world, world_key=world_label, input_dataset=input_dataset, seed=seed
     )
@@ -270,18 +265,15 @@ def _evaluate_group(payload: Tuple) -> List[Tuple[int, Dict[str, Any]]]:
         columns: Dict[str, Any] = {}
         stream_fallback = False
         if attack_item is not None:
-            if isinstance(attack_item, str):
-                name, params, prefix = _pop_prefix(attack_item)
-                if (
-                    attack_defaults is not None
-                    and "execution" not in params
-                    and not ATTACKS.declares(name, "execution")
-                ):
-                    stream_fallback = True
-                    _note_stream_fallback(name)
-                attack = ATTACKS.create_parsed(name, params, defaults=attack_defaults)
-            else:
-                attack, prefix = attack_item, ""
+            name, params, prefix = _pop_prefix(attack_item)
+            if (
+                attack_defaults is not None
+                and "execution" not in params
+                and not ATTACKS.declares(name, "execution")
+            ):
+                stream_fallback = True
+                _note_stream_fallback(name)
+            attack = ATTACKS.create_parsed(name, params, defaults=attack_defaults)
             run = getattr(attack, "run", None)
             if run is None:
                 raise RegistryError(
@@ -356,7 +348,7 @@ class EvaluationEngine:
         Cells are keyed by (experiment input, world fingerprint, seed,
         mechanism spec, attack spec, metric group), so re-running a spec —
         or a spec sharing cells with an earlier one — only computes what is
-        new.  Cells whose mechanism is a live object are never cached.
+        new.
     backend:
         *How* uncached cell groups execute: ``None`` (serial for
         ``workers=1``, a multiprocessing pool otherwise), a spec string
@@ -392,8 +384,6 @@ class EvaluationEngine:
         for label, item in _normalize_axis(spec.worlds, "world"):
             if worlds and label in worlds:
                 resolved[label] = worlds[label]
-            elif not isinstance(item, str):
-                resolved[label] = item
             else:
                 resolved[label] = make_world(item)
         return resolved
@@ -497,38 +487,19 @@ class EvaluationEngine:
         ]
 
         if payloads:
-            # Cells whose mechanism or attack is a live object cannot cross a
-            # process boundary: they run inline regardless of the backend.
-            parallel: List[Tuple] = []
-            inline: List[Tuple] = []
-            for payload in payloads:
-                mech_ok = isinstance(payload[5], str)
-                attacks_ok = all(
-                    attack_item is None or isinstance(attack_item, str)
-                    for _, _, attack_item, _ in payload[6]
+            # Hand the backend each cell's serialized cache key (or None when
+            # the cache is off) plus the store: a fleet backend whose workers
+            # share the sqlite file writes rows directly into it and ships
+            # only acks back.  In-process backends ignore both.
+            cell_keys: List[Optional[List[Optional[str]]]] = []
+            for group in groups.values():
+                keys = [pending_keys[index] for index, _, _, _ in group["cells"]]
+                cell_keys.append(
+                    [None if key is None else serialize_cell_key(key) for key in keys]
                 )
-                (parallel if mech_ok and attacks_ok else inline).append(payload)
-            # Hand the backend each parallel cell's serialized cache key (or
-            # None for uncacheable cells) plus the store: a fleet backend
-            # whose workers share the sqlite file writes rows directly into
-            # it and ships only acks back.  In-process backends ignore both.
-            parallel_keys: List[Optional[List[Optional[str]]]] = []
-            for payload in parallel:
-                keys: List[Optional[str]] = []
-                for index, _, _, _ in payload[6]:
-                    key = pending_keys.get(index)
-                    keys.append(serialize_cell_key(key) if key is not None else None)
-                parallel_keys.append(keys)
-            results = (
-                list(
-                    self.backend.map_groups(
-                        parallel, cell_keys=parallel_keys, cache=self.cache_store
-                    )
-                )
-                if parallel
-                else []
+            results = self.backend.map_groups(
+                payloads, cell_keys=cell_keys, cache=self.cache_store
             )
-            results.extend(_evaluate_group(p) for p in inline)
             for group_rows in results:
                 for index, row in group_rows:
                     rows[index] = row

@@ -133,8 +133,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="HOST:PORT",
         help="coordinator address (the bootstrap form)",
     )
-    parser.add_argument("--host", help="queue manager host (legacy; prefer --connect)")
-    parser.add_argument("--port", type=int, help="queue manager port (legacy)")
     parser.add_argument(
         "--rank",
         default=None,
@@ -166,14 +164,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.connect is not None:
-        host, port = args.connect
-    elif args.host is not None and args.port is not None:
-        host, port = args.host, args.port
-    else:
+    if args.connect is None:
         parser.print_usage(sys.stderr)
-        print("worker: need --connect HOST:PORT (or --host and --port)", file=sys.stderr)
+        print("worker: need --connect HOST:PORT", file=sys.stderr)
         return EXIT_USAGE
+    host, port = args.connect
     worker_id = (
         str(args.rank)
         if args.rank is not None

@@ -95,9 +95,23 @@ def interpolate_position(
     second.  Linear interpolation on coordinates is an excellent approximation
     of the geodesic for the short (metres to a few km) segments found between
     consecutive GPS fixes, and is what the speed-smoothing algorithm relies on.
+
+    Longitude takes the short way round: a segment crossing the antimeridian
+    (179.9 -> -179.9) interpolates through 180, not through 0, and the result
+    is wrapped back into ``[-180, 180]``.
     """
     f = min(1.0, max(0.0, float(fraction)))
-    return lat1 + f * (lat2 - lat1), lon1 + f * (lon2 - lon1)
+    dlon = lon2 - lon1
+    if dlon > 180.0:
+        dlon -= 360.0
+    elif dlon < -180.0:
+        dlon += 360.0
+    lon = lon1 + f * dlon
+    if lon > 180.0:
+        lon -= 360.0
+    elif lon < -180.0:
+        lon += 360.0
+    return lat1 + f * (lat2 - lat1), lon
 
 
 def point_segment_distance_m(

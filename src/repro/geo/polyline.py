@@ -13,7 +13,8 @@ logic so that it can be tested and reused in isolation:
 
 All functions operate on latitude/longitude arrays in decimal degrees and use
 the haversine metric for segment lengths, with linear interpolation within a
-segment (accurate for GPS-scale segment lengths).
+segment (accurate for GPS-scale segment lengths).  Longitude is interpolated
+the short way round, so a segment crossing the antimeridian stays short.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .distance import haversine_array
 
@@ -31,6 +33,14 @@ __all__ = [
     "resample_by_distance",
     "resample_at_distances",
 ]
+
+
+def _interpolate_lons(lon1: ArrayLike, lon2: ArrayLike, f: ArrayLike) -> np.ndarray:
+    """``lon1 + f * (lon2 - lon1)`` over the shorter arc, wrapped into [-180, 180]."""
+    dlon = np.subtract(lon2, lon1)
+    dlon = np.where(dlon > 180.0, dlon - 360.0, np.where(dlon < -180.0, dlon + 360.0, dlon))
+    lon = np.add(lon1, np.multiply(f, dlon))
+    return np.where(lon > 180.0, lon - 360.0, np.where(lon < -180.0, lon + 360.0, lon))
 
 
 def cumulative_distances(lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
@@ -82,7 +92,7 @@ def position_at_distance(
         return float(lats[idx]), float(lons[idx])
     f = (d - float(cumdist[idx])) / seg_len
     lat = float(lats[idx] + f * (lats[idx + 1] - lats[idx]))
-    lon = float(lons[idx] + f * (lons[idx + 1] - lons[idx]))
+    lon = float(_interpolate_lons(lons[idx], lons[idx + 1], f))
     return lat, lon
 
 
@@ -113,7 +123,7 @@ def resample_at_distances(
     with np.errstate(divide="ignore", invalid="ignore"):
         f = np.where(seg_len > 0.0, (d - cumdist[idx]) / seg_len, 0.0)
     out_lats = lats[idx] + f * (lats[idx + 1] - lats[idx])
-    out_lons = lons[idx] + f * (lons[idx + 1] - lons[idx])
+    out_lons = _interpolate_lons(lons[idx], lons[idx + 1], f)
     return out_lats, out_lons
 
 

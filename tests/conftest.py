@@ -82,6 +82,18 @@ def make_stop_and_go_trajectory(
     return Trajectory(user_id, times, lats, lons)
 
 
+def make_antimeridian_trajectory(user_id: str = "u1") -> Trajectory:
+    """50 fixes, 60 s apart, at lat 10, heading east across the antimeridian.
+
+    Longitude runs 179.9 -> 180 -> -179.9 (about 22 km in total), always
+    written in the canonical ``[-180, 180]`` range.
+    """
+    lons = np.linspace(179.9, 180.1, 50)
+    lons = np.where(lons > 180.0, lons - 360.0, lons)
+    times = np.arange(50) * 60.0
+    return Trajectory(user_id, times, np.full(50, 10.0), lons)
+
+
 @pytest.fixture
 def line_trajectory() -> Trajectory:
     return make_line_trajectory()

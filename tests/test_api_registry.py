@@ -26,7 +26,7 @@ from repro.attacks.tracking import MultiTargetTracker
 from repro.baselines.geo_indistinguishability import GeoIndistinguishabilityMechanism
 from repro.baselines.trivial import IdentityMechanism
 from repro.core.pipeline import Anonymizer
-from repro.experiments.runner import DEFAULT_MECHANISM_SPECS, default_mechanisms
+from repro.experiments.runner import DEFAULT_MECHANISM_SPECS
 
 
 class TestSpecParsing:
@@ -141,19 +141,17 @@ class TestRegistries:
         assert isinstance(make_attack("multi-target-tracker"), MultiTargetTracker)
 
     def test_default_suite_resolvable_from_specs(self):
-        for spec in DEFAULT_MECHANISM_SPECS.values():
-            mechanism = make_mechanism(spec, defaults={"seed": 0}, wrap=False)
-            assert hasattr(mechanism, "publish")
-
-    def test_default_mechanisms_shim_warns_and_matches_specs(self):
-        with pytest.warns(DeprecationWarning):
-            suite = default_mechanisms(seed=0)
-        assert list(suite) == list(DEFAULT_MECHANISM_SPECS)
+        suite = {
+            name: make_mechanism(spec, defaults={"seed": 7}, wrap=False)
+            for name, spec in DEFAULT_MECHANISM_SPECS.items()
+        }
+        assert all(hasattr(mechanism, "publish") for mechanism in suite.values())
         assert isinstance(suite["raw"], IdentityMechanism)
         assert suite["geo-ind-strong"].config.epsilon_per_m == pytest.approx(
             np.log(2.0) / 200.0
         )
-        assert suite["geo-ind-strong"].config.seed == 0
+        # The seed reaches seedable mechanisms through ``defaults``.
+        assert suite["geo-ind-strong"].config.seed == 7
 
 
 class TestPublicationResult:

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.registry import RegistryError
+from repro.experiments import engine as engine_module
 from repro.experiments.engine import (
     EvaluationEngine,
     ExperimentSpec,
@@ -127,18 +129,28 @@ class TestEvaluationEngine:
         )
         assert parallel == sequential
 
-    def test_mechanism_objects_supported(self, world):
+    @pytest.mark.parametrize("axis", ["mechanism", "attack", "world"])
+    def test_non_string_axis_entries_rejected(self, world, axis, monkeypatch):
+        """Spec strings are the only axis item type: a live mechanism, attack
+        or world object is refused before anything is published."""
+        from repro.api.evaluators import PoiRetrievalEvaluator
         from repro.baselines.trivial import IdentityMechanism
 
-        spec = ExperimentSpec(
-            name="objects",
-            mechanisms=[("raw", IdentityMechanism())],
-            metrics=["point-retention"],
-            worlds=["world"],
-        )
-        rows = EvaluationEngine(workers=2).run(spec, worlds={"world": world})
-        assert rows[0]["mechanism"] == "raw"
-        assert rows[0]["point_retention"] == 1.0
+        live = {
+            "mechanism": ("raw", IdentityMechanism()),
+            "attack": ("poi", PoiRetrievalEvaluator()),
+            "world": ("built", world),
+        }[axis]
+        axes = {"mechanisms": ["identity"], "attacks": [None], "worlds": ["world"]}
+        axes[axis + "s"] = [live]
+
+        def publish_guard(*args, **kwargs):
+            raise AssertionError("published before the axes were validated")
+
+        monkeypatch.setattr(engine_module, "make_mechanism", publish_guard)
+        spec = ExperimentSpec(name="objects", metrics=["point-retention"], **axes)
+        with pytest.raises(RegistryError, match=f"^{axis} axis entry .* not a registry spec"):
+            EvaluationEngine(workers=2).run(spec, worlds={"world": world})
 
     def test_raw_attack_on_axis_is_rejected(self, world):
         spec = ExperimentSpec(

@@ -6,7 +6,7 @@ import pytest
 
 from repro.experiments.formatting import format_percent, format_series, format_table
 from repro.experiments.runner import (
-    default_mechanisms,
+    DEFAULT_MECHANISM_SPECS,
     ground_truth_pois,
     run_area_coverage,
     run_mixzone_stats,
@@ -85,7 +85,7 @@ class TestRunners:
         return crossing_rich_world("small", seed=5)
 
     def test_default_mechanism_suite(self):
-        suite = default_mechanisms()
+        suite = DEFAULT_MECHANISM_SPECS
         assert "raw" in suite and "paper-full" in suite
         assert len(suite) >= 6
 
@@ -95,7 +95,10 @@ class TestRunners:
         assert all(len(p) == 2 for p in pois)
 
     def test_run_poi_retrieval_rows(self, world):
-        mechanisms = {"raw": default_mechanisms()["raw"], "paper": default_mechanisms()["paper-full"]}
+        mechanisms = {
+            "raw": DEFAULT_MECHANISM_SPECS["raw"],
+            "paper": DEFAULT_MECHANISM_SPECS["paper-full"],
+        }
         rows = run_poi_retrieval(world, mechanisms)
         assert {r["mechanism"] for r in rows} == {"raw", "paper"}
         for row in rows:
@@ -107,10 +110,13 @@ class TestRunners:
 
     def test_run_poi_retrieval_rejects_unknown_attack(self, world):
         with pytest.raises(ValueError):
-            run_poi_retrieval(world, {"raw": default_mechanisms()["raw"]}, attack="psychic")
+            run_poi_retrieval(world, {"raw": DEFAULT_MECHANISM_SPECS["raw"]}, attack="psychic")
 
     def test_run_spatial_distortion_rows(self, world):
-        mechanisms = {"raw": default_mechanisms()["raw"], "geo": default_mechanisms()["geo-ind-weak"]}
+        mechanisms = {
+            "raw": DEFAULT_MECHANISM_SPECS["raw"],
+            "geo": DEFAULT_MECHANISM_SPECS["geo-ind-weak"],
+        }
         rows = run_spatial_distortion(world, mechanisms)
         raw_row = next(r for r in rows if r["mechanism"] == "raw")
         geo_row = next(r for r in rows if r["mechanism"] == "geo")
@@ -118,7 +124,7 @@ class TestRunners:
         assert geo_row["median_m"] > raw_row["median_m"]
 
     def test_run_area_coverage_rows(self, world):
-        mechanisms = {"raw": default_mechanisms()["raw"]}
+        mechanisms = {"raw": DEFAULT_MECHANISM_SPECS["raw"]}
         rows = run_area_coverage(world, mechanisms, cell_sizes_m=(200.0, 400.0))
         assert len(rows) == 2
         assert all(row["f_score"] == 1.0 for row in rows)

@@ -77,6 +77,22 @@ class TestInterpolation:
         assert interpolate_position(45.0, 4.0, 46.0, 5.0, -1.0) == (45.0, 4.0)
         assert interpolate_position(45.0, 4.0, 46.0, 5.0, 2.0) == (46.0, 5.0)
 
+    @pytest.mark.parametrize(("lon1", "lon2"), [(179.9, -179.9), (-179.9, 179.9)])
+    def test_antimeridian_takes_the_short_way(self, lon1, lon2):
+        _, lon = interpolate_position(10.0, lon1, 10.0, lon2, 0.25)
+        assert abs(lon) == pytest.approx(179.95)
+        _, mid = interpolate_position(10.0, lon1, 10.0, lon2, 0.5)
+        assert abs(mid) == pytest.approx(180.0)
+        assert -180.0 <= lon <= 180.0 and -180.0 <= mid <= 180.0
+
+    def test_non_crossing_segments_unchanged_bitwise(self):
+        rng = np.random.default_rng(0)
+        for lon1, lon2, f in zip(
+            rng.uniform(-180, 180, 500), rng.uniform(-180, 180, 500), rng.uniform(0, 1, 500)
+        ):
+            if abs(lon2 - lon1) <= 180.0:
+                assert interpolate_position(0.0, lon1, 0.0, lon2, f)[1] == lon1 + f * (lon2 - lon1)
+
 
 class TestPointSegmentDistance:
     def test_point_on_segment(self):

@@ -16,6 +16,8 @@ from repro.geo.polyline import (
     resample_by_distance,
 )
 
+from .conftest import make_antimeridian_trajectory
+
 
 def straight_line(n: int, spacing_m: float = 100.0):
     """n points heading due east, spaced spacing_m apart."""
@@ -107,3 +109,20 @@ class TestResample:
         )
         np.testing.assert_array_equal(out_lats, [45.0, 45.0])
         np.testing.assert_array_equal(out_lons, [4.0, 4.0])
+
+    def test_antimeridian_crossing_interpolates_the_short_way(self):
+        raw = make_antimeridian_trajectory()
+        lats, lons = np.asarray(raw.lats), np.asarray(raw.lons)
+        total = path_length(lats, lons)
+        assert total < 25_000.0
+        out_lats, out_lons = resample_by_distance(lats, lons, 100.0)
+        assert out_lats.size <= total / 100.0 + 2
+        assert np.all((out_lons >= -180.0) & (out_lons <= 180.0))
+        steps = [
+            haversine(out_lats[i], out_lons[i], out_lats[i + 1], out_lons[i + 1])
+            for i in range(out_lats.size - 1)
+        ]
+        assert max(steps) <= 100.0 + 1e-6
+        # Half way along, the walk sits on the antimeridian, not near lon 0.
+        _, mid_lon = position_at_distance(lats, lons, total / 2.0)
+        assert abs(mid_lon) > 179.9

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.registry import make_mechanism
 from repro.attacks.poi_extraction import PoiExtractor
 from repro.core.speed_smoothing import (
     SpeedSmoother,
@@ -17,8 +18,13 @@ from repro.core.speed_smoothing import (
 )
 from repro.core.trajectory import MobilityDataset, Trajectory
 from repro.geo.distance import haversine
+from repro.geo.polyline import path_length
 
-from .conftest import make_line_trajectory, make_stop_and_go_trajectory
+from .conftest import (
+    make_antimeridian_trajectory,
+    make_line_trajectory,
+    make_stop_and_go_trajectory,
+)
 
 
 def consecutive_distances(traj: Trajectory) -> np.ndarray:
@@ -142,6 +148,18 @@ class TestEdgeCases:
 
     def test_empty_dataset_smoothing(self):
         assert len(smooth_dataset(MobilityDataset())) == 0
+
+    @pytest.mark.parametrize("spec", ["smoothing:epsilon_m=100.0", "promesse:swap=never,seed=0"])
+    def test_antimeridian_crossing_walks_the_short_way(self, spec):
+        """Crossing 180 must not send the walk round the globe at 100 m spacing."""
+        raw = make_antimeridian_trajectory()
+        published = make_mechanism(spec).publish(MobilityDataset([raw])).dataset
+        bound = path_length(np.asarray(raw.lats), np.asarray(raw.lons)) / 100.0 + 2
+        assert 0 < published.n_points <= bound
+        for trajectory in published:
+            lons = np.asarray(trajectory.lons)
+            assert np.all((lons >= -180.0) & (lons <= 180.0))
+            assert np.all(np.abs(np.asarray(trajectory.lats) - 10.0) < 1e-6)
 
 
 class TestDatasetSmoothing:
