@@ -1,18 +1,21 @@
-"""Hot-path benchmark: mix-zone detection and Wait-For-Me publication.
+"""Hot-path benchmark: the publication cells rebuilt on columnar kernels.
 
-The two slowest cells of an engine run (ROADMAP), rewritten in this PR on the
-columnar kernel layer.  This bench times them directly — no attack or metric
-overhead — and records throughput plus the speedup against the committed
-pre-refactor baselines in ``BENCH_hotpaths.json``.
+Mix-zone detection, Wait-For-Me publication, speed smoothing and the full
+Promesse publication (smoothing + mix-zone swapping), timed directly — no
+attack or metric overhead.  The bench records throughput plus the speedup
+against the committed pre-refactor baselines in ``BENCH_hotpaths.json``.
 
-The pre-PR numbers below were measured on the implementation at commit
-63d6381 (Python double loops over spatial bins for detection; per-pair
-synchronized-distance reductions for W4M clustering), best of several runs on
-the same workloads this bench generates.
+The detection and Wait-For-Me numbers below were measured on the
+implementation at commit 63d6381 (Python double loops over spatial bins for
+detection; per-pair synchronized-distance reductions for W4M clustering).
+The smoothing and Promesse numbers were measured at commit e3422b8, where
+the chained resample still walked one fix at a time with scalar haversine
+calls.  All are best of several runs on the workloads this bench generates.
 """
 
 from __future__ import annotations
 
+from repro.api.registry import make_mechanism
 from repro.baselines.wait4me import Wait4MeConfig, Wait4MeMechanism
 from repro.experiments.formatting import format_table
 from repro.mixzones.detection import detect_mix_zones
@@ -24,7 +27,16 @@ PRE_REFACTOR_S = {
     ("detect_mix_zones", "large"): 19.54,
     ("wait4me_publish", "medium"): 0.0402,
     ("wait4me_publish", "large"): 0.223,
+    ("smoothing_publish", "small"): 0.0342,
+    ("smoothing_publish", "medium"): 0.390,
+    ("promesse_publish", "small"): 0.0755,
+    ("promesse_publish", "medium"): 0.793,
 }
+
+#: The two paper mechanisms: speed smoothing on the standard world, the full
+#: Promesse pipeline (E4's "paper-full") on the crossing-rich world.
+SMOOTHING_SPEC = "smoothing:epsilon_m=100.0"
+PROMESSE_SPEC = "promesse:swap=coin_flip,seed=0"
 
 
 def _cell_timing(cell: str, scale: str, samples: list, points: int) -> dict:
@@ -54,6 +66,10 @@ def test_hotpaths(
     published, wait4me_samples = bench_timer(
         lambda: mechanism.publish(standard), repeats=5
     )
+    smoothing = make_mechanism(SMOOTHING_SPEC)
+    smoothed, smoothing_samples = bench_timer(lambda: smoothing.publish(standard), repeats=5)
+    promesse = make_mechanism(PROMESSE_SPEC)
+    protected, promesse_samples = bench_timer(lambda: promesse.publish(crossing))
 
     timings = {
         "detect_mix_zones": _cell_timing(
@@ -61,6 +77,12 @@ def test_hotpaths(
         ),
         "wait4me_publish": _cell_timing(
             "wait4me_publish", evaluation_scale, wait4me_samples, standard.n_points
+        ),
+        "smoothing_publish": _cell_timing(
+            "smoothing_publish", evaluation_scale, smoothing_samples, standard.n_points
+        ),
+        "promesse_publish": _cell_timing(
+            "promesse_publish", evaluation_scale, promesse_samples, crossing.n_points
         ),
     }
     rows = [
@@ -82,12 +104,19 @@ def test_hotpaths(
                 for (cell, scale), seconds in PRE_REFACTOR_S.items()
                 if scale == evaluation_scale
             },
-            "measured_at_commit": "pre-PR (63d6381)",
+            "measured_at_commit": {
+                "detect_mix_zones": "63d6381",
+                "wait4me_publish": "63d6381",
+                "smoothing_publish": "e3422b8",
+                "promesse_publish": "e3422b8",
+            },
         },
         extra={
             "workload": {
                 "crossing_points": crossing.n_points,
                 "standard_points": standard.n_points,
+                "smoothing_spec": SMOOTHING_SPEC,
+                "promesse_spec": PROMESSE_SPEC,
             }
         },
     )
@@ -102,3 +131,4 @@ def test_hotpaths(
     if evaluation_scale not in ("tiny",):
         assert zones, "the crossing-rich workload must contain mix-zones"
         assert len(published) > 0, "wait4me must publish at least one group"
+        assert len(smoothed) > 0 and len(protected) > 0, "the paper mechanisms must publish"

@@ -36,7 +36,12 @@ rebuilt on:
   cell label instead of a materialised near-clique;
 * :func:`segmented_searchsorted` — per-segment insertion points of query
   timestamps (multi-target tracking resolves every zone boundary of every
-  user this way, one vectorized ``searchsorted`` per user).
+  user this way, one vectorized ``searchsorted`` per user);
+* :func:`chained_resample` — the speed-smoothing walk: one point every
+  ``epsilon_m`` meters of *chained* distance along every recording session,
+  with all sessions' walkers advanced in lockstep and jitter skipped along
+  the cumulative path (the same certified skip as
+  :func:`windowed_stay_spans`).
 
 Kernels operate on plain numpy arrays (no trajectory types), which keeps this
 module importable from anywhere in the library without cycles.
@@ -44,8 +49,10 @@ module importable from anywhere in the library without cycles.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
-from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,7 +61,7 @@ try:  # numpy >= 1.20 ships typing; fall back for exotic builds
 except ImportError:  # pragma: no cover
     DTypeLike = Any  # type: ignore[assignment, misc]
 
-from .distance import haversine_array, meters_per_degree
+from .distance import EARTH_RADIUS_METERS, haversine, haversine_array, meters_per_degree
 
 __all__ = [
     "ColumnarTraces",
@@ -68,6 +75,7 @@ __all__ = [
     "segmented_radius_pairs",
     "planar_radius_cliques",
     "segmented_searchsorted",
+    "chained_resample",
 ]
 
 
@@ -866,3 +874,195 @@ def segmented_searchsorted(
         segment = values[offsets[k] : offsets[k + 1]]
         out[k] = np.searchsorted(segment, queries, side=side)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Chained constant-distance walk (speed smoothing)
+# ---------------------------------------------------------------------------
+
+#: Relative half-width of the band below ``epsilon_m`` inside which a walk
+#: step's numpy distance is not trusted to decide the emit test: numpy's
+#: ``arcsin`` and ``x ** 2`` may differ from libm's ``asin`` and ``pow`` by an
+#: ULP or two, far inside this band.  Steps in or above the band use
+#: :func:`_libm_haversine` distances.
+_EMIT_BAND_REL = 1e-9
+
+_LIBM_ASIN = np.frompyfunc(math.asin, 1, 1)
+_SCALAR_HAVERSINE = np.frompyfunc(haversine, 4, 1)
+
+
+def _haversine_libm_ops(
+    lat1: np.ndarray, lon1: np.ndarray, lat2: np.ndarray, lon2: np.ndarray
+) -> np.ndarray:
+    """:func:`haversine_array` with scalar :func:`haversine`'s libm ``pow`` and ``asin``.
+
+    ``np.float_power`` calls libm's ``pow`` (``x ** 2`` in numpy is ``x * x``,
+    which ``pow(x, 2)`` does not always round like), and ``asin`` is libm's
+    through ``np.frompyfunc`` (numpy's ``arcsin`` may be a SIMD variant).
+    """
+    phi1 = np.radians(lat1)
+    phi2 = np.radians(lat2)
+    dphi = np.radians(lat2 - lat1)
+    dlambda = np.radians(lon2 - lon1)
+    a = np.float_power(np.sin(dphi / 2.0), 2.0) + np.cos(phi1) * np.cos(phi2) * np.float_power(
+        np.sin(dlambda / 2.0), 2.0
+    )
+    a = np.minimum(np.maximum(a, 0.0), 1.0)
+    return 2.0 * EARTH_RADIUS_METERS * np.asarray(_LIBM_ASIN(np.sqrt(a)), dtype=float)
+
+
+def _haversine_scalar(
+    lat1: np.ndarray, lon1: np.ndarray, lat2: np.ndarray, lon2: np.ndarray
+) -> np.ndarray:
+    """Scalar :func:`haversine` mapped over arrays."""
+    return np.asarray(_SCALAR_HAVERSINE(lat1, lon1, lat2, lon2), dtype=float)
+
+
+@lru_cache(maxsize=None)
+def _libm_haversine() -> Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """A batched haversine bitwise equal to the scalar :func:`haversine`.
+
+    :func:`_haversine_libm_ops` is, as long as numpy's ``radians``/``sin``/
+    ``cos``/``sqrt`` round like libm's, which depends on the numpy build and
+    the CPU.  That is checked once per process on a fixed probe of walk-sized
+    steps; a build that disagrees anywhere gets the scalar function mapped
+    over the lanes instead (slower, never different).
+    """
+    rng = np.random.default_rng(20261017)
+    lat1 = rng.uniform(-89.9, 89.9, 4096)
+    lon1 = rng.uniform(-180.0, 180.0, 4096)
+    reach = rng.choice([1e-5, 1e-3, 1e-1], 4096)
+    lat2 = np.clip(lat1 + reach * rng.uniform(-1.0, 1.0, 4096), -90.0, 90.0)
+    lon2 = lon1 + reach * rng.uniform(-1.0, 1.0, 4096)
+    fast = _haversine_libm_ops(lat1, lon1, lat2, lon2)
+    if np.array_equal(fast, _haversine_scalar(lat1, lon1, lat2, lon2)):
+        return _haversine_libm_ops
+    return _haversine_scalar  # pragma: no cover - depends on the numpy build
+
+
+_RADIAN = math.pi / 180.0
+_HALF_RADIAN = math.pi / 360.0
+
+
+def _walk_distance(
+    lat1: np.ndarray, lon1: np.ndarray, lat2: np.ndarray, lon2: np.ndarray, cos_lat2: np.ndarray
+) -> np.ndarray:
+    """Haversine distance up to a few ULPs (not libm's bits), ``cos(lat2)`` given."""
+    s_lat = np.sin((lat2 - lat1) * _HALF_RADIAN)
+    s_lon = np.sin((lon2 - lon1) * _HALF_RADIAN)
+    h = s_lat * s_lat + np.cos(lat1 * _RADIAN) * cos_lat2 * (s_lon * s_lon)
+    return (2.0 * EARTH_RADIUS_METERS) * np.arcsin(np.sqrt(np.minimum(h, 1.0)))
+
+
+def _wrap_lon(lon: np.ndarray) -> np.ndarray:
+    """One 360-degree turn back into ``[-180, 180]`` (as ``interpolate_position``)."""
+    if lon.size and np.abs(lon).max() > 180.0:
+        return np.where(lon > 180.0, lon - 360.0, np.where(lon < -180.0, lon + 360.0, lon))
+    return lon
+
+
+def chained_resample(
+    lats: np.ndarray,
+    lons: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    epsilon_m: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chained constant-distance walk over many sessions at once.
+
+    Session ``s`` is the half-open fix range ``[starts[s], ends[s])`` of the
+    flattened ``lats``/``lons`` arrays (it must hold at least one fix).  Its
+    walk emits the session's first fix, then walks the raw fixes in order:
+    whenever the great-circle distance ``d`` from the last emitted point to
+    the current fix reaches ``epsilon_m``, it emits the point interpolated at
+    fraction ``epsilon_m / d`` toward that fix (by
+    :func:`~repro.geo.geometry.interpolate_position`'s arithmetic, short way
+    round the antimeridian) and stays on the same fix; otherwise it moves on
+    to the next fix.
+
+    Every session's walker advances in lockstep, one step per loop iteration
+    over all active lanes.  A lane that does not emit skips ahead along the
+    cumulative travelled path: every fix whose arc length from the current
+    one is below ``epsilon_m - d`` (minus the 1 mm margin of
+    :func:`windowed_stay_spans`) is closer than ``epsilon_m`` to the last
+    emitted point by the triangle inequality, so it could not emit.  Emit
+    decisions near ``epsilon_m`` and every emitted fraction use distances
+    bitwise equal to the scalar :func:`~repro.geo.distance.haversine`, so the
+    output is identical to walking each session fix by fix in Python.
+
+    Returns ``(session_index, lats, lons)`` of every emitted point, grouped by
+    session and in walk order within a session.
+    """
+    if not (math.isfinite(epsilon_m) and epsilon_m > 0.0):
+        raise ValueError(f"epsilon_m must be positive and finite, got {epsilon_m}")
+    lats = np.asarray(lats, dtype=float)
+    lons = np.asarray(lons, dtype=float)
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    if np.any(ends <= starts):
+        raise ValueError("every session must hold at least one fix")
+    n_sessions = starts.size
+
+    emitted_lane: List[np.ndarray] = [np.arange(n_sessions, dtype=np.int64)]
+    emitted_lat: List[np.ndarray] = [lats[starts]]
+    emitted_lon: List[np.ndarray] = [lons[starts]]
+
+    # Cumulative travelled arc length (see windowed_stay_spans: segments
+    # between sessions cancel out of any within-session difference).
+    seg = haversine_array(lats[:-1], lons[:-1], lats[1:], lons[1:])
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    cos_lats = np.cos(np.radians(lats))
+    libm_haversine = _libm_haversine()
+    emit_floor = epsilon_m * (1.0 - _EMIT_BAND_REL)
+    skip_reach = epsilon_m - _STAY_SKIP_MARGIN_M
+
+    live = np.nonzero(starts + 1 < ends)[0]
+    lane = live
+    fix = starts[live] + 1
+    end = ends[live]
+    cur_lat = lats[starts[live]]
+    cur_lon = lons[starts[live]]
+    while lane.size:
+        to_lat = lats[fix]
+        to_lon = lons[fix]
+        to_cos = cos_lats[fix]
+        d = _walk_distance(cur_lat, cur_lon, to_lat, to_lon, to_cos)
+        near = np.nonzero(d >= emit_floor)[0]
+        if near.size:
+            # The emit test and the emitted fraction use libm distances.
+            d_near = libm_haversine(cur_lat[near], cur_lon[near], to_lat[near], to_lon[near])
+            d[near] = d_near
+            reached = d_near >= epsilon_m
+            hit = near[reached]
+            if hit.size:
+                fraction = epsilon_m / d_near[reached]
+                lat0 = cur_lat[hit]
+                lon0 = cur_lon[hit]
+                new_lat = lat0 + fraction * (to_lat[hit] - lat0)
+                new_lon = _wrap_lon(lon0 + fraction * _wrap_lon(to_lon[hit] - lon0))
+                cur_lat[hit] = new_lat
+                cur_lon[hit] = new_lon
+                emitted_lane.append(lane[hit])
+                emitted_lat.append(new_lat)
+                emitted_lon.append(new_lon)
+                # A lane whose new point is clearly within epsilon_m of the
+                # fix leaves it in this same iteration; the others are
+                # decided at the top of the next one.
+                d_left = _walk_distance(new_lat, new_lon, to_lat[hit], to_lon[hit], to_cos[hit])
+                d[hit] = np.where(d_left < emit_floor, d_left, epsilon_m)
+        # Lanes that did not emit leave their fix, skipping every fix the
+        # cumulative path certifies closer than epsilon_m.
+        jump = cum.searchsorted(cum[fix] + (skip_reach - d), side="left")
+        fix = np.where(d < epsilon_m, np.maximum(fix + 1, jump), fix)
+        alive = fix < end
+        if not alive.all():
+            lane, fix, end = lane[alive], fix[alive], end[alive]
+            cur_lat, cur_lon = cur_lat[alive], cur_lon[alive]
+
+    session_index = np.concatenate(emitted_lane)
+    order = np.argsort(session_index, kind="stable")
+    return (
+        session_index[order],
+        np.concatenate(emitted_lat)[order],
+        np.concatenate(emitted_lon)[order],
+    )

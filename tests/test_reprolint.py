@@ -90,6 +90,14 @@ class TestColumnarRule:
     def test_def_line_waiver_suppresses_body_findings(self):
         assert findings_for(fixture("repro", "attacks", "r3_waived.py"), "R3") == []
 
+    def test_publication_core_is_a_hot_path(self):
+        # repro/core/ (speed smoothing, the pipeline) is covered like attacks/.
+        found = findings_for(fixture("repro", "core", "r3_violating.py"), "R3")
+        assert sorted(f.line for f in found) == [10, 17]
+        assert any("scalar haversine()" in f.message for f in found)
+        assert any("per-point" in f.message for f in found)
+        assert findings_for(fixture("repro", "core", "r3_conforming.py"), "R3") == []
+
 
 # ------------------------------------------------------------ R4 registry integrity
 
