@@ -1,16 +1,26 @@
-"""Hot-path benchmark: the publication cells rebuilt on columnar kernels.
+"""Hot-path benchmark: the publication and metric cells rebuilt on columnar kernels.
 
 Mix-zone detection, Wait-For-Me publication, speed smoothing and the full
 Promesse publication (smoothing + mix-zone swapping), timed directly — no
-attack or metric overhead.  The bench records throughput plus the speedup
-against the committed pre-refactor baselines in ``BENCH_hotpaths.json``.
+attack or metric overhead.  The utility metrics of E2/E3/E6 (spatial
+distortion, area coverage at the four E3 cell sizes, range queries) are
+timed the same way, each comparing the smoothing publication against the
+standard world it came from.  The original world is reused across repeats,
+as the engine reuses it across cells, so its nearest-point index is built
+once per session (in the first spatial-distortion sample, unless an earlier
+bench already built it) and ``wall_s`` times queries against it.
+The bench records throughput plus the speedup against the committed
+pre-refactor baselines in ``BENCH_hotpaths.json``.
 
 The detection and Wait-For-Me numbers below were measured on the
 implementation at commit 63d6381 (Python double loops over spatial bins for
 detection; per-pair synchronized-distance reductions for W4M clustering).
 The smoothing and Promesse numbers were measured at commit e3422b8, where
 the chained resample still walked one fix at a time with scalar haversine
-calls.  All are best of several runs on the workloads this bench generates.
+calls.  The metric numbers were measured at commit ad91bbd, where area
+coverage built Python sets of ``(row, col)`` tuples and spatial distortion
+rebuilt the projection and KD-tree of the original world on every call.
+All are best of several runs on the workloads this bench generates.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from __future__ import annotations
 from repro.api.registry import make_mechanism
 from repro.baselines.wait4me import Wait4MeConfig, Wait4MeMechanism
 from repro.experiments.formatting import format_table
+from repro.metrics.utility import area_coverage, dataset_spatial_distortion, range_query_distortion
 from repro.mixzones.detection import detect_mix_zones
 
 #: Pre-refactor wall seconds, by (cell, scale).  Scales not measured before
@@ -31,7 +42,16 @@ PRE_REFACTOR_S = {
     ("smoothing_publish", "medium"): 0.390,
     ("promesse_publish", "small"): 0.0755,
     ("promesse_publish", "medium"): 0.793,
+    ("area_coverage_metric", "small"): 0.0258,
+    ("area_coverage_metric", "medium"): 0.171,
+    ("spatial_distortion_metric", "small"): 0.0122,
+    ("spatial_distortion_metric", "medium"): 0.0895,
+    ("range_query_metric", "small"): 0.0114,
+    ("range_query_metric", "medium"): 0.0598,
 }
+
+#: E3's cell sizes: one area-coverage sample scores all four.
+COVERAGE_CELL_SIZES_M = (100.0, 200.0, 400.0, 800.0)
 
 #: The two paper mechanisms: speed smoothing on the standard world, the full
 #: Promesse pipeline (E4's "paper-full") on the crossing-rich world.
@@ -71,6 +91,21 @@ def test_hotpaths(
     promesse = make_mechanism(PROMESSE_SPEC)
     protected, promesse_samples = bench_timer(lambda: promesse.publish(crossing))
 
+    smoothed_dataset = smoothed.dataset
+    scores, coverage_samples = bench_timer(
+        lambda: [
+            area_coverage(standard, smoothed_dataset, cell_size_m=size)
+            for size in COVERAGE_CELL_SIZES_M
+        ],
+        repeats=5,
+    )
+    distortion, distortion_samples = bench_timer(
+        lambda: dataset_spatial_distortion(standard, smoothed_dataset), repeats=5
+    )
+    range_error, range_samples = bench_timer(
+        lambda: range_query_distortion(standard, smoothed_dataset), repeats=5
+    )
+
     timings = {
         "detect_mix_zones": _cell_timing(
             "detect_mix_zones", evaluation_scale, mixzone_samples, crossing.n_points
@@ -83,6 +118,22 @@ def test_hotpaths(
         ),
         "promesse_publish": _cell_timing(
             "promesse_publish", evaluation_scale, promesse_samples, crossing.n_points
+        ),
+        # Metric throughput counts the published points each call scores.
+        "area_coverage_metric": _cell_timing(
+            "area_coverage_metric",
+            evaluation_scale,
+            coverage_samples,
+            len(COVERAGE_CELL_SIZES_M) * smoothed_dataset.n_points,
+        ),
+        "spatial_distortion_metric": _cell_timing(
+            "spatial_distortion_metric",
+            evaluation_scale,
+            distortion_samples,
+            smoothed_dataset.n_points,
+        ),
+        "range_query_metric": _cell_timing(
+            "range_query_metric", evaluation_scale, range_samples, smoothed_dataset.n_points
         ),
     }
     rows = [
@@ -109,6 +160,9 @@ def test_hotpaths(
                 "wait4me_publish": "63d6381",
                 "smoothing_publish": "e3422b8",
                 "promesse_publish": "e3422b8",
+                "area_coverage_metric": "ad91bbd",
+                "spatial_distortion_metric": "ad91bbd",
+                "range_query_metric": "ad91bbd",
             },
         },
         extra={
@@ -117,7 +171,14 @@ def test_hotpaths(
                 "standard_points": standard.n_points,
                 "smoothing_spec": SMOOTHING_SPEC,
                 "promesse_spec": PROMESSE_SPEC,
-            }
+                "smoothed_points": smoothed_dataset.n_points,
+                "coverage_cell_sizes_m": list(COVERAGE_CELL_SIZES_M),
+            },
+            "metric_values": {
+                "coverage_f_scores": [score.f_score for score in scores],
+                "median_distortion_m": distortion.median,
+                "range_query_error": range_error,
+            },
         },
     )
     print()

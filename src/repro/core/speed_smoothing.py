@@ -105,6 +105,11 @@ __all__ = [
 #: 34.5 ms.  Both walks emit identical arrays, so this only moves time.
 LOCKSTEP_MIN_SESSIONS = 48
 
+#: Smallest accepted ``epsilon_m``.  The walk emits about path length / ε
+#: points, so a vanishing ε (say 1e-300 m) exhausts memory; below a metre ε
+#: only resamples GPS noise anyway.
+MIN_EPSILON_M = 1.0
+
 
 @dataclass(frozen=True)
 class SpeedSmoothingConfig:
@@ -116,7 +121,8 @@ class SpeedSmoothingConfig:
         Target spacing in meters between consecutive published points.  This
         is the privacy/utility knob: larger values hide POIs more aggressively
         (any stop shorter than the time needed to cover ``epsilon_m`` at the
-        trace's average speed is invisible) but publish fewer points.
+        trace's average speed is invisible) but publish fewer points.  Must
+        be at least :data:`MIN_EPSILON_M` (1 m).
     trim_start_m / trim_end_m:
         Length of path removed at the beginning / end of the trace before
         resampling, to hide the departure and arrival POIs.  Defaults to 0
@@ -145,8 +151,10 @@ class SpeedSmoothingConfig:
         # NaN passes every ordered comparison's negation, so finiteness is
         # checked explicitly: a NaN epsilon would publish nothing, a NaN gap
         # would silently disable session splitting.
-        if not (math.isfinite(self.epsilon_m) and self.epsilon_m > 0.0):
-            raise ValueError(f"epsilon_m must be positive and finite, got {self.epsilon_m}")
+        if not (math.isfinite(self.epsilon_m) and self.epsilon_m >= MIN_EPSILON_M):
+            raise ValueError(
+                f"epsilon_m must be finite and at least {MIN_EPSILON_M} m, got {self.epsilon_m}"
+            )
         if not all(math.isfinite(t) and t >= 0.0 for t in (self.trim_start_m, self.trim_end_m)):
             raise ValueError(
                 f"trim distances must be non-negative and finite, got "

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..geo.distance import haversine, haversine_array
 from ..geo.geometry import BoundingBox
-from ..geo.kernels import ColumnarTraces
+from ..geo.kernels import ColumnarTraces, NearestPointIndex
 from ..geo.polyline import cumulative_distances, path_length
 
 __all__ = ["Point", "Trajectory", "MobilityDataset"]
@@ -371,12 +371,13 @@ class MobilityDataset:
     experiments reproducible.
     """
 
-    __slots__ = ("_trajectories", "_columnar", "_fingerprint")
+    __slots__ = ("_trajectories", "_columnar", "_fingerprint", "_nearest_index")
 
     def __init__(self, trajectories: Iterable[Trajectory] = ()) -> None:
         self._trajectories: Dict[str, Trajectory] = {}
         self._columnar: Optional[ColumnarTraces] = None
         self._fingerprint: Optional[Tuple[int, int, Tuple[float, float], int]] = None
+        self._nearest_index: Optional[NearestPointIndex] = None
         for traj in trajectories:
             self._add(traj)
 
@@ -408,15 +409,16 @@ class MobilityDataset:
         return dataset
 
     def __getstate__(self):
-        # The cached columnar view is derived data: shipping it through
-        # pickle (multiprocessing fan-out) would double the payload, and
-        # receivers rebuild it lazily anyway.
+        # The cached columnar view and nearest-point index are derived data:
+        # shipping them through pickle (multiprocessing fan-out) would
+        # inflate the payload, and receivers rebuild them lazily anyway.
         return self._trajectories
 
     def __setstate__(self, state) -> None:
         self._trajectories = state
         self._columnar = None
         self._fingerprint = None
+        self._nearest_index = None
 
     # -- mapping protocol -----------------------------------------------------
 
@@ -461,12 +463,10 @@ class MobilityDataset:
     @property
     def bbox(self) -> BoundingBox:
         """Smallest bounding box containing every fix of every user."""
-        non_empty = [t for t in self if len(t) > 0]
-        if not non_empty:
+        columnar = self.columnar()
+        if columnar.n_points == 0:
             raise ValueError("empty dataset has no bounding box")
-        lats = np.concatenate([t.lats for t in non_empty])
-        lons = np.concatenate([t.lons for t in non_empty])
-        return BoundingBox.from_points(lats, lons)
+        return BoundingBox.from_points(columnar.lats, columnar.lons)
 
     @property
     def time_span(self) -> Tuple[float, float]:
@@ -521,6 +521,21 @@ class MobilityDataset:
         if self._columnar is None:
             self._columnar = ColumnarTraces.from_trajectories(list(self))
         return self._columnar
+
+    def nearest_point_index(self) -> NearestPointIndex:
+        """Nearest-fix index over every point of the dataset (cached).
+
+        Built on first use, like :meth:`columnar`: the spatial-distortion
+        metric compares many publications against one original world, and
+        each comparison then pays only for its own query points.  Raises
+        ``ValueError`` on a dataset without points.
+        """
+        if self._nearest_index is None:
+            columnar = self.columnar()
+            if columnar.n_points == 0:
+                raise ValueError("empty dataset has no nearest-point index")
+            self._nearest_index = NearestPointIndex(columnar.lats, columnar.lons)
+        return self._nearest_index
 
     # -- transformations --------------------------------------------------------
 

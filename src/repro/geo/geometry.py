@@ -45,9 +45,13 @@ class BoundingBox:
 
     @classmethod
     def from_points(cls, lats: Iterable[float], lons: Iterable[float]) -> "BoundingBox":
-        """Smallest box containing every ``(lat, lon)`` pair."""
-        lats = np.asarray(list(lats), dtype=float)
-        lons = np.asarray(list(lons), dtype=float)
+        """Smallest box containing every ``(lat, lon)`` pair.
+
+        Arrays are reduced in place (no Python round trip); other iterables,
+        generators included, are materialised first.
+        """
+        lats = np.asarray(lats if isinstance(lats, np.ndarray) else list(lats), dtype=float)
+        lons = np.asarray(lons if isinstance(lons, np.ndarray) else list(lons), dtype=float)
         if lats.size == 0:
             raise ValueError("cannot build a bounding box from an empty set of points")
         return cls(float(lats.min()), float(lons.min()), float(lats.max()), float(lons.max()))

@@ -41,7 +41,10 @@ rebuilt on:
   ``epsilon_m`` meters of *chained* distance along every recording session,
   with all sessions' walkers advanced in lockstep and jitter skipped along
   the cumulative path (the same certified skip as
-  :func:`windowed_stay_spans`).
+  :func:`windowed_stay_spans`);
+* :class:`NearestPointIndex` — distance from query fixes to the nearest fix
+  of a reference point set (the spatial-distortion metric), built once per
+  reference set: its local projection, projected points and KD-tree.
 
 Kernels operate on plain numpy arrays (no trajectory types), which keeps this
 module importable from anywhere in the library without cycles.
@@ -62,6 +65,7 @@ except ImportError:  # pragma: no cover
     DTypeLike = Any  # type: ignore[assignment, misc]
 
 from .distance import EARTH_RADIUS_METERS, haversine, haversine_array, meters_per_degree
+from .projection import LocalProjection
 
 __all__ = [
     "ColumnarTraces",
@@ -76,6 +80,7 @@ __all__ = [
     "planar_radius_cliques",
     "segmented_searchsorted",
     "chained_resample",
+    "NearestPointIndex",
 ]
 
 
@@ -1066,3 +1071,65 @@ def chained_resample(
         np.concatenate(emitted_lat)[order],
         np.concatenate(emitted_lon)[order],
     )
+
+
+# ---------------------------------------------------------------------------
+# Nearest reference point (spatial distortion)
+# ---------------------------------------------------------------------------
+
+#: Query rows per block of the brute-force fallback (bounds its memory to
+#: ``block x reference`` distances).
+_NEAREST_BLOCK = 512
+
+
+class NearestPointIndex:
+    """Distances from query fixes to the nearest fix of a reference set.
+
+    Built once over the reference coordinates: a
+    :class:`~repro.geo.projection.LocalProjection` centred on their centroid,
+    the projected reference points, and a :class:`scipy.spatial.cKDTree`
+    over them when scipy is available.  Without scipy, :meth:`distances`
+    falls back to a block-wise brute-force search.  Queries are projected
+    with the reference's projection, so every query against one index sees
+    the same metric plane.
+    """
+
+    __slots__ = ("projection", "reference", "_tree")
+
+    def __init__(self, lats: np.ndarray, lons: np.ndarray) -> None:
+        lats = np.asarray(lats, dtype=float)
+        lons = np.asarray(lons, dtype=float)
+        self.projection = LocalProjection.centered_on(lats, lons)
+        xs, ys = self.projection.project_array(lats, lons)
+        self.reference = np.stack([xs, ys], axis=1)
+        self._tree: Optional[Any]
+        try:
+            from scipy.spatial import cKDTree
+        except ImportError:  # pragma: no cover - scipy is present in CI
+            self._tree = None
+        else:
+            self._tree = cKDTree(self.reference)
+
+    def distances(self, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
+        """Planar distance (meters) from each query fix to its nearest reference fix."""
+        xs, ys = self.projection.project_array(lats, lons)
+        query = np.stack([xs, ys], axis=1)
+        if self._tree is None:  # pragma: no cover - scipy is present in CI
+            return _blockwise_nearest_distances(query, self.reference)
+        distances, _ = self._tree.query(query, k=1)
+        return np.asarray(distances, dtype=float)
+
+
+def _blockwise_nearest_distances(query: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Nearest-neighbour distances of ``(n, 2)`` query rows, block by block.
+
+    The scipy-free fallback of :class:`NearestPointIndex`: exact up to
+    floating-point rounding of the distance, with memory bounded by
+    ``_NEAREST_BLOCK`` rows of pairwise distances at a time.
+    """
+    out = np.empty(query.shape[0], dtype=float)
+    for start in range(0, query.shape[0], _NEAREST_BLOCK):
+        block = query[start : start + _NEAREST_BLOCK]
+        d = np.sqrt(((block[:, None, :] - reference[None, :, :]) ** 2).sum(axis=2))
+        out[start : start + block.shape[0]] = d.min(axis=1)
+    return out

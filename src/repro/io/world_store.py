@@ -413,6 +413,7 @@ class StoreBackedDataset(MobilityDataset):
         )
         self._columnar = store.columnar() if self._shard is None else None
         self._fingerprint = store.fingerprint if self._shard is None else None
+        self._nearest_index = None
 
     @property
     def n_points(self) -> int:

@@ -22,6 +22,17 @@ All metrics compare an *original* and a *published*
 :class:`~repro.core.trajectory.MobilityDataset`; none of them require user
 identifiers to match (published data is typically pseudonymous), except the
 per-user variants that say so explicitly.
+
+The dataset-wide metrics read coordinates from the shared
+:meth:`~repro.core.trajectory.MobilityDataset.columnar` view, never from
+copies.  Area coverage represents a cell cover as the sorted unique ``int64``
+ids of :meth:`~repro.geo.grid.Grid.cell_ids` (the same truncate-and-clamp
+binning as ``Grid.cell_of``) and intersects covers with ``np.intersect1d``;
+:meth:`CoverageScore.from_counts` is the one scoring formula.  Spatial
+distortion queries the original dataset's cached
+:class:`~repro.geo.kernels.NearestPointIndex` (projection, projected points
+and KD-tree built once per original world), so comparing many publications
+against one world pays only for each publication's own points.
 """
 
 from __future__ import annotations
@@ -128,44 +139,13 @@ def dataset_spatial_distortion(
             return DistortionSummary.from_distances(np.zeros(0))
         return DistortionSummary.from_distances(np.concatenate(distances))
 
-    orig_lats, orig_lons = original.all_coordinates()
-    pub_lats, pub_lons = published.all_coordinates()
-    if orig_lats.size == 0:
+    if original.columnar().n_points == 0:
         raise ValueError("original dataset is empty")
-    if pub_lats.size == 0:
+    pub = published.columnar()
+    if pub.n_points == 0:
         return DistortionSummary.from_distances(np.zeros(0))
-    projection = LocalProjection.centered_on(orig_lats, orig_lons)
-    oxs, oys = projection.project_array(orig_lats, orig_lons)
-    pxs, pys = projection.project_array(pub_lats, pub_lons)
-    distances = _nearest_point_distances(pxs, pys, oxs, oys)
+    distances = original.nearest_point_index().distances(pub.lats, pub.lons)
     return DistortionSummary.from_distances(distances)
-
-
-def _nearest_point_distances(
-    pxs: np.ndarray, pys: np.ndarray, oxs: np.ndarray, oys: np.ndarray
-) -> np.ndarray:
-    """Distance from each query point to its nearest reference point.
-
-    Uses a KD-tree when scipy is available (it is in the benchmark
-    environment) and a block-wise brute force search otherwise, keeping
-    memory bounded for large datasets.
-    """
-    try:
-        from scipy.spatial import cKDTree
-
-        tree = cKDTree(np.stack([oxs, oys], axis=1))
-        distances, _ = tree.query(np.stack([pxs, pys], axis=1), k=1)
-        return np.asarray(distances, dtype=float)
-    except ImportError:  # pragma: no cover - scipy is present in CI
-        out = np.empty(pxs.size, dtype=float)
-        block = 512
-        ref = np.stack([oxs, oys], axis=1)
-        for start in range(0, pxs.size, block):
-            stop = min(start + block, pxs.size)
-            q = np.stack([pxs[start:stop], pys[start:stop]], axis=1)
-            d = np.sqrt(((q[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2))
-            out[start:stop] = d.min(axis=1)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -184,21 +164,30 @@ class CoverageScore:
     published_cells: int
 
     @classmethod
-    def from_covers(cls, original_cells: set, published_cells: set) -> "CoverageScore":
-        """Score a published cell cover against the original one."""
-        if not published_cells:
-            precision = 1.0 if not original_cells else 0.0
+    def from_counts(
+        cls, n_original: int, n_published: int, n_common: int
+    ) -> "CoverageScore":
+        """Score from cover sizes: original, published and shared cells."""
+        if not n_published:
+            precision = 1.0 if not n_original else 0.0
         else:
-            precision = len(published_cells & original_cells) / len(published_cells)
-        if not original_cells:
+            precision = n_common / n_published
+        if not n_original:
             recall = 1.0
         else:
-            recall = len(published_cells & original_cells) / len(original_cells)
+            recall = n_common / n_original
         if precision + recall == 0.0:
             f_score = 0.0
         else:
             f_score = 2.0 * precision * recall / (precision + recall)
-        return cls(precision, recall, f_score, len(original_cells), len(published_cells))
+        return cls(precision, recall, f_score, n_original, n_published)
+
+    @classmethod
+    def from_covers(cls, original_cells: set, published_cells: set) -> "CoverageScore":
+        """Score a published cell cover against the original one."""
+        return cls.from_counts(
+            len(original_cells), len(published_cells), len(published_cells & original_cells)
+        )
 
 
 def area_coverage(
@@ -213,15 +202,18 @@ def area_coverage(
     supplied ``bbox`` so that points pushed outside by noisy mechanisms are
     still counted — they land in boundary cells and hurt precision).
     """
-    orig_lats, orig_lons = original.all_coordinates()
-    if orig_lats.size == 0:
+    orig = original.columnar()
+    if orig.n_points == 0:
         raise ValueError("original dataset is empty")
     grid_bbox = bbox or original.bbox.expanded(cell_size_m)
     grid = Grid.covering(grid_bbox, cell_size_m)
-    original_cells = grid.cell_cover(orig_lats, orig_lons)
-    pub_lats, pub_lons = published.all_coordinates()
-    published_cells = grid.cell_cover(pub_lats, pub_lons) if pub_lats.size else set()
-    return CoverageScore.from_covers(original_cells, published_cells)
+    original_cells = np.unique(grid.cell_ids(orig.lats, orig.lons))
+    pub = published.columnar()
+    published_cells = np.unique(grid.cell_ids(pub.lats, pub.lons))
+    common = np.intersect1d(original_cells, published_cells, assume_unique=True)
+    return CoverageScore.from_counts(
+        int(original_cells.size), int(published_cells.size), int(common.size)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +252,12 @@ def range_query_distortion(
     """
     if n_queries < 1:
         raise ValueError("n_queries must be at least 1")
-    orig_lats, orig_lons = original.all_coordinates()
-    if orig_lats.size == 0:
+    orig = original.columnar()
+    if orig.n_points == 0:
         raise ValueError("original dataset is empty")
-    pub_lats, pub_lons = published.all_coordinates()
+    orig_lats, orig_lons = orig.lats, orig.lons
+    pub = published.columnar()
+    pub_lats, pub_lons = pub.lats, pub.lons
     bbox = original.bbox
     rng = np.random.default_rng(seed)
     grid = Grid.covering(bbox, query_size_m)

@@ -39,8 +39,12 @@ def consecutive_distances(traj: Trajectory) -> np.ndarray:
 
 class TestConfig:
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            SpeedSmoothingConfig(epsilon_m=0.0)
+        # Sub-metre epsilon only resamples GPS noise, and a vanishing one
+        # (1e-300) would emit path/epsilon points and exhaust memory.
+        for epsilon in (0.0, 0.5, 1e-300):
+            with pytest.raises(ValueError):
+                SpeedSmoothingConfig(epsilon_m=epsilon)
+        assert SpeedSmoothingConfig(epsilon_m=1.0).epsilon_m == 1.0
         with pytest.raises(ValueError):
             SpeedSmoothingConfig(trim_start_m=-1.0)
         with pytest.raises(ValueError):
@@ -56,7 +60,15 @@ class TestConfig:
                     SpeedSmoothingConfig(**{field: value})
 
     def test_non_finite_spec_rejected_at_construction(self):
-        for spec in ("smoothing:epsilon_m=nan", "smoothing:session_gap_s=nan", "promesse:epsilon_m=inf"):
+        for spec in (
+            "smoothing:epsilon_m=nan",
+            "smoothing:session_gap_s=nan",
+            "promesse:epsilon_m=inf",
+            "smoothing:epsilon_m=0.5",
+            "smoothing:epsilon_m=1e-300",
+            "promesse:epsilon_m=0.5",
+            "promesse:epsilon_m=1e-300",
+        ):
             with pytest.raises(ValueError):
                 make_mechanism(spec)
 
