@@ -40,6 +40,7 @@ __all__ = [
     "RegistryError",
     "Registry",
     "parse_spec",
+    "check_spec_params",
     "format_spec",
     "MECHANISMS",
     "ATTACKS",
@@ -106,6 +107,16 @@ def parse_spec(spec: str) -> Tuple[str, Dict[str, Any]]:
             )
         params[key] = _convert_value(value)
     return name, params
+
+
+def check_spec_params(spec: str, params: Mapping[str, Any], accepted: Iterable[str]) -> None:
+    """Raise :class:`RegistryError` if ``spec`` sets a parameter outside ``accepted``."""
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise RegistryError(
+            f"unknown parameter(s) {', '.join(unknown)} in spec {spec!r}; accepted: "
+            + (", ".join(sorted(accepted)) or "none")
+        )
 
 
 def _format_value(value: Any) -> str:

@@ -41,6 +41,7 @@ variable, never on the command line)::
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 import pickle
@@ -50,8 +51,9 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import dataclass, field
 from multiprocessing.managers import BaseManager
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Type
 
 from .cache import CellCacheStore, SqliteCellCache
 
@@ -71,12 +73,10 @@ __all__ = [
 AUTHKEY_ENV = "REPRO_WORKQUEUE_AUTHKEY"
 
 #: Fault-injection hook: a worker started with this set misbehaves on its
-#: first batch — ``"claim"`` exits hard right *after* sending the claim
-#: message, ``"pre-claim"`` right after pulling the batch but *before*
-#: claiming it (the lost-in-claim-window case), ``"freeze"`` stops
-#: heartbeating and hangs forever while the process stays alive (the frozen
-#: remote host only heartbeat eviction can catch).  How the CI equivalence
-#: jobs and the tests exercise the recovery paths.
+#: first batch — ``"claim"`` exits hard right after claiming it,
+#: ``"freeze"`` stops heartbeating and hangs forever while the process stays
+#: alive (the frozen remote host only heartbeat eviction can catch).  How
+#: the CI equivalence jobs and the tests exercise the recovery paths.
 CRASH_ENV = "REPRO_WORKQUEUE_CRASH_ON_CLAIM"
 
 #: When set, spawned workers write stdout/stderr to ``<dir>/worker-<id>.log``
@@ -183,10 +183,45 @@ class WorkQueueError(RuntimeError):
         self.failures = failures
 
 
+#: One task entry on the wire: ``(task_id, pickled_payload, cache_directive)``
+#: where the directive is ``None`` (ship rows back) or ``(sqlite_path,
+#: (key_text_per_cell, ...))`` (write rows into the shared cache, ship an
+#: ack).  Task-queue items are *batches*: lists of entries claimed in one
+#: round-trip.
+TaskEntry = Tuple[int, bytes, Optional[Tuple[str, Tuple[Optional[str], ...]]]]
+
+#: Seconds the coordinator waits for a worker message before it checks
+#: worker liveness and the deadline.
+_POLL_S = 0.05
+
+
+@dataclass
+class _TaskDispatch:
+    """The claim endpoint the queue manager serves to workers.
+
+    :meth:`claim` runs in the coordinator, on the calling worker's server
+    thread, and posts the claim *before* the batch leaves, so every task is
+    always queued or claimed.  A claim that takes the ``None`` shutdown
+    sentinel puts it back, so one sentinel wakes every waiting worker.
+    """
+
+    task_queue: "queue.Queue"
+    result_queue: "queue.Queue"
+
+    def claim(self, worker_id: str) -> Optional[List[TaskEntry]]:
+        batch = self.task_queue.get()
+        if batch is None:
+            self.task_queue.put(None)
+            return None
+        self.result_queue.put(("claim", worker_id, [task_id for task_id, _, _ in batch]))
+        return batch
+
+
 def _make_queue_manager(
     task_queue: "queue.Queue", result_queue: "queue.Queue"
 ) -> Type[BaseManager]:
-    """A fresh manager class per run: serves the two queues over TCP.
+    """A fresh manager class per run: serves the claim endpoint and the
+    result queue over TCP.
 
     The class is local so concurrent :class:`WorkQueueBackend` runs never
     share a registry (``BaseManager.register`` mutates the *class*).
@@ -195,34 +230,209 @@ def _make_queue_manager(
     class _QueueManager(BaseManager):
         pass
 
-    _QueueManager.register("get_task_queue", callable=lambda: task_queue)
+    dispatch = _TaskDispatch(task_queue, result_queue)
+    _QueueManager.register("get_dispatch", callable=lambda: dispatch)
     _QueueManager.register("get_result_queue", callable=lambda: result_queue)
     return _QueueManager
 
 
-#: One task entry on the wire: ``(task_id, pickled_payload, cache_directive)``
-#: where the directive is ``None`` (ship rows back) or ``(sqlite_path,
-#: (key_text_per_cell, ...))`` (write rows into the shared cache, ship an
-#: ack).  Task-queue items are *batches*: lists of entries claimed in one
-#: round-trip.
-TaskEntry = Tuple[int, bytes, Optional[Tuple[str, Tuple[Optional[str], ...]]]]
+@dataclass
+class _Task:
+    """The coordinator's one record per task."""
+
+    entry: TaskEntry
+    state: str = "pending"  # pending | claimed | done | failed
+    attempts: int = 0
+    workers: List[str] = field(default_factory=list)  # last one holds a claim
+    result: Optional[Tuple[str, Any]] = None  # ("rows", rows) | ("cached", n)
+
+
+class _Coordinator:
+    """The work queue's bookkeeping, free of processes and sockets.
+
+    It takes worker messages (:meth:`receive`) and liveness verdicts
+    (:meth:`evict`), keeps one :class:`_Task` record per payload and the
+    :attr:`WorkQueueBackend.last_stats` counters, and hands requeued
+    batches to ``requeue``.  Two liveness rules hold: a claim posted for an
+    already evicted worker is requeued at once, under the same budget; and
+    only messages a worker sends itself (hello, heartbeat, done, error)
+    refresh its heartbeat clock — claims are posted by the coordinator's own
+    server thread.
+
+    A task gets a shared-cache directive only when ``cache`` is a shared
+    :class:`SqliteCellCache` and *every* cell of its payload has a
+    serialized key — a partially cacheable group still ships rows, so one
+    task never mixes the two result channels.
+    """
+
+    def __init__(
+        self,
+        payloads: Sequence[Tuple],
+        cell_keys: CellKeys,
+        cache: Optional[CellCacheStore],
+        max_requeues: int,
+        requeue: Callable[[List[TaskEntry]], None],
+    ) -> None:
+        self.payloads, self.cache = payloads, cache
+        shared = os.path.abspath(cache.path) if isinstance(cache, SqliteCellCache) else None
+        self.tasks: List[_Task] = []
+        for task_id, payload in enumerate(payloads):
+            keys = tuple(cell_keys[task_id] or ()) if cell_keys is not None else ()
+            directive = (shared, keys) if shared and keys and None not in keys else None
+            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+            self.tasks.append(_Task((task_id, blob, directive)))
+        self.unfinished = len(self.tasks)  # tasks neither done nor failed
+        self.max_requeues = max_requeues
+        self._requeue = requeue
+        self.last_seen: Dict[str, float] = {}
+        self.evicted: Set[str] = set()
+        self.failures: List[Dict[str, Any]] = []
+        self.error: Optional[Tuple[int, str, str]] = None
+        self.stats: Dict[str, Any] = dict(
+            worker_cell_counts={}, requeues=0, workers_crashed=0, heartbeat_evictions=0,
+            evictions=[], workers_seen=0, task_batches=0, rows_shipped=0, cache_rows_written=0,
+        )
+
+    def running(self) -> bool:
+        return self.error is None and not self.failures and self.unfinished > 0
+
+    def _failure(self, task: _Task, reason: str) -> Dict[str, Any]:
+        return dict(task=task.entry[0], attempts=task.attempts, workers=list(task.workers),
+                    reason=reason)
+
+    def _requeue_or_fail(self, task: _Task, cause: str) -> None:
+        if task.attempts <= self.max_requeues:
+            task.state = "pending"
+            self._requeue([task.entry])
+            self.stats["requeues"] += 1
+        else:
+            task.state = "failed"
+            self.unfinished -= 1
+            reason = f"{cause}; requeue budget ({self.max_requeues}) exhausted"
+            self.failures.append(self._failure(task, reason))
+
+    def receive(self, message: Tuple, now: float) -> None:
+        kind, worker_id = message[0], str(message[1])
+        if kind == "claim":
+            self.stats["task_batches"] += 1
+            for task_id in message[2]:
+                task = self.tasks[task_id]
+                if task.state not in ("pending", "claimed"):
+                    continue  # a stale copy of a finished task
+                task.attempts += 1
+                task.workers.append(worker_id)
+                task.state = "claimed"
+                if worker_id in self.evicted:
+                    self._requeue_or_fail(task, f"claimed by evicted worker {worker_id}")
+            return
+        if worker_id not in self.last_seen:
+            self.stats["workers_seen"] += 1
+        self.last_seen[worker_id] = now
+        if kind == "done":
+            _, _, task_id, result = message
+            task = self.tasks[task_id]
+            if task.state not in ("pending", "claimed"):
+                return  # a late duplicate: the row count is taken once
+            task.state, task.result = "done", result
+            self.unfinished -= 1
+            cached = result[0] == "cached"
+            n_rows = int(result[1]) if cached else len(result[1])
+            self.stats["cache_rows_written" if cached else "rows_shipped"] += n_rows
+            cells = self.stats["worker_cell_counts"]
+            cells[worker_id] = cells.get(worker_id, 0) + n_rows
+        elif kind == "error":
+            self.error = (message[2], worker_id, message[3])
+        # "hello" and "heartbeat" only refresh the clock.
+
+    def silent_workers(self, now: float, timeout_s: float) -> List[str]:
+        """Workers holding claims that have not been heard from for ``timeout_s``."""
+        holders = {task.workers[-1] for task in self.tasks if task.state == "claimed"}
+        return sorted(w for w in holders if now - self.last_seen.get(w, now) > timeout_s)
+
+    def evict(self, worker_id: str, detected: str, cause: str) -> None:
+        """Drop ``worker_id`` (``detected`` is ``"exit"`` or ``"heartbeat"``)
+        and requeue, or fail, every task it holds."""
+        self.evicted.add(worker_id)
+        self.stats["workers_crashed" if detected == "exit" else "heartbeat_evictions"] += 1
+        held = [t for t in self.tasks if t.state == "claimed" and t.workers[-1] == worker_id]
+        for task in held:
+            self._requeue_or_fail(task, cause)
+        self.stats["evictions"].append(
+            {"worker": worker_id, "detected": detected, "tasks": [t.entry[0] for t in held]}
+        )
+
+    def timeout_error(self, timeout_s: Optional[float]) -> WorkQueueError:
+        open_tasks = [t for t in self.tasks if t.state in ("pending", "claimed")]
+        return WorkQueueError(
+            f"work queue timed out after {timeout_s}s with {len(open_tasks)} of "
+            f"{len(self.tasks)} tasks unfinished",
+            [self._failure(task, "timeout") for task in open_tasks],
+        )
+
+    def results(self) -> List[GroupResult]:
+        """Every task's rows in task order, once the run has finished (or
+        the worker exception / exhausted-budget failures); acked rows are
+        read back from the shared cache by their serialized keys."""
+        if self.error is not None:
+            task_id, worker_id, traceback_text = self.error
+            raise RuntimeError(
+                f"cell group {task_id} raised in work-queue worker {worker_id}:\n"
+                f"{traceback_text}"
+            )
+        if self.failures:
+            detail = "; ".join(
+                f"task {f['task']} after {f['attempts']} attempts "
+                f"(workers {f['workers']})" for f in self.failures
+            )
+            raise WorkQueueError(
+                f"work queue gave up on {len(self.failures)} task(s): {detail}",
+                self.failures,
+            )
+        results: List[GroupResult] = []
+        for task in self.tasks:
+            assert task.result is not None, "results() before every task is done"
+            result_kind, value = task.result
+            if result_kind == "rows":
+                results.append(value)
+                continue
+            cache = self.cache
+            assert isinstance(cache, SqliteCellCache) and task.entry[2] is not None
+            _, key_texts = task.entry[2]
+            gathered: GroupResult = []
+            for (index, _, _, _), key_text in zip(self.payloads[task.entry[0]][6], key_texts):
+                assert key_text is not None
+                row = cache.get_serialized(key_text)
+                if row is None:
+                    raise WorkQueueError(
+                        f"worker acked {value} cached rows for task {task.entry[0]} "
+                        f"but key {key_text!r} is missing from {cache.path!r}",
+                        [self._failure(task, "cache ack without cached row")],
+                    )
+                gathered.append((index, row))
+            results.append(gathered)
+        return results
 
 
 class WorkQueueBackend(SchedulerBackend):
     """A fleet-capable work queue over TCP (local subprocesses or real hosts).
 
     The coordinator starts a :class:`multiprocessing.managers.BaseManager`
-    server on ``(bind_host, port)`` exposing a task queue and a result queue,
-    enqueues every payload *pickled* in batches of ``batch`` entries, and
-    launches ``workers`` fresh local interpreters via
+    server on ``(bind_host, port)`` exposing a claim endpoint and a result
+    queue, enqueues every payload *pickled* in batches of ``batch``
+    entries, and launches ``workers`` fresh local interpreters via
     ``sys.executable -m repro.experiments.worker --connect advertise:port``
     — the exact bootstrap a remote host uses, so the local and multi-host
     paths are one code path.  ``workers=0`` spawns nothing and waits for
     remote workers to connect (the fleet-coordinator mode).
 
+    A worker takes a batch with one ``claim(worker_id)`` call, which runs in
+    the coordinator and records the claim before the batch leaves, so every
+    task is always *pending* (queued), *claimed* (held by one worker),
+    *done* or *failed*.
+
     Liveness is heartbeat-based: every worker runs a heartbeat thread that
-    stamps the result queue every ``heartbeat_s`` seconds (claims, acks and
-    results also count as heartbeats).  A worker holding claimed tasks that
+    stamps the result queue every ``heartbeat_s`` seconds (its hello, done
+    and error messages also count).  A worker holding claimed tasks that
     has not been heard from for ``heartbeat_timeout_s`` is *evicted* — its
     process is killed if local, its claimed tasks are requeued at most
     ``max_requeues`` times, and the eviction is recorded in
@@ -253,21 +463,13 @@ class WorkQueueBackend(SchedulerBackend):
           "address": {"bind", "advertise", "port"},
         }
 
-    A worker can also die *between* pulling a batch and sending its claim —
-    then the tasks are in neither the queue nor the claim table.  Once every
-    unclaimed pending task has been missing from the queue for longer than
-    ``claim_grace_s`` (claims normally arrive within milliseconds), those
-    tasks are requeued under the same budget instead of hanging until the
-    timeout.
-
     ``fault_injection`` is a test/CI hook: ``"crash-once"`` starts the
     *initial* workers with :data:`CRASH_ENV` set (they die right after their
     first claim; replacements are clean), ``"crash-always"`` poisons
     replacements too, which exhausts the requeue budget deterministically,
-    ``"crash-pre-claim"`` makes the initial workers die in the claim window
-    (batch pulled, never claimed), and ``"freeze-once"`` makes them claim a
-    batch, stop heartbeating and hang — alive to ``poll()``, dead to the
-    heartbeat — so only eviction can recover the run.
+    and ``"freeze-once"`` makes them claim a batch, stop heartbeating and
+    hang — alive to ``poll()``, dead to the heartbeat — so only eviction
+    can recover the run.
     """
 
     name = "work-queue"
@@ -276,7 +478,6 @@ class WorkQueueBackend(SchedulerBackend):
         None: (None, None),
         "crash-once": ("claim", None),
         "crash-always": ("claim", "claim"),
-        "crash-pre-claim": ("pre-claim", None),
         "freeze-once": ("freeze", None),
     }
 
@@ -285,8 +486,6 @@ class WorkQueueBackend(SchedulerBackend):
         workers: int = 2,
         max_requeues: int = 1,
         timeout_s: Optional[float] = 600.0,
-        poll_interval_s: float = 0.05,
-        claim_grace_s: float = 1.0,
         fault_injection: Optional[str] = None,
         bind_host: str = "127.0.0.1",
         advertise_host: Optional[str] = None,
@@ -313,8 +512,6 @@ class WorkQueueBackend(SchedulerBackend):
         self.workers = int(workers)
         self.max_requeues = int(max_requeues)
         self.timeout_s = timeout_s
-        self.poll_interval_s = float(poll_interval_s)
-        self.claim_grace_s = float(claim_grace_s)
         self.fault_injection = fault_injection
         self.bind_host = str(bind_host)
         if advertise_host is None:
@@ -370,31 +567,6 @@ class WorkQueueBackend(SchedulerBackend):
                 return subprocess.Popen(argv, env=env, stdout=log_file, stderr=log_file)
         return subprocess.Popen(argv, env=env)
 
-    # -- dispatch helpers ---------------------------------------------------------
-
-    @staticmethod
-    def _cache_directives(
-        payloads: Sequence[Tuple],
-        cell_keys: CellKeys,
-        cache: Optional[CellCacheStore],
-    ) -> List[Optional[Tuple[str, Tuple[Optional[str], ...]]]]:
-        """Per-task shared-cache directives (``None`` = ship rows back).
-
-        A task goes through the direct-write path only when the engine's
-        store is a shared sqlite file and *every* cell of the payload has a
-        serialized key — a partially cacheable group still ships rows, so
-        the coordinator never has to merge the two result channels for one
-        task.
-        """
-        directives: List[Optional[Tuple[str, Tuple[Optional[str], ...]]]] = [None] * len(payloads)
-        if not isinstance(cache, SqliteCellCache) or cell_keys is None:
-            return directives
-        path = os.path.abspath(cache.path)
-        for i, keys in enumerate(cell_keys):
-            if keys is not None and keys and all(k is not None for k in keys):
-                directives[i] = (path, tuple(keys))
-        return directives
-
     # -- the run loop -------------------------------------------------------------
 
     def map_groups(
@@ -403,24 +575,16 @@ class WorkQueueBackend(SchedulerBackend):
         cell_keys: CellKeys = None,
         cache: Optional[CellCacheStore] = None,
     ) -> List[GroupResult]:
-        stats: Dict[str, Any] = {
-            "worker_cell_counts": {},
-            "requeues": 0,
-            "workers_crashed": 0,
-            "heartbeat_evictions": 0,
-            "evictions": [],
-            "workers_seen": 0,
-            "task_batches": 0,
-            "rows_shipped": 0,
-            "cache_rows_written": 0,
-            "address": {"bind": self.bind_host, "advertise": self.advertise_host, "port": None},
+        address: Dict[str, Any] = {
+            "bind": self.bind_host, "advertise": self.advertise_host, "port": None
         }
-        if not payloads:
-            self.last_stats = stats
-            return []
-
         task_queue: "queue.Queue" = queue.Queue()
         result_queue: "queue.Queue" = queue.Queue()
+        coordinator = _Coordinator(payloads, cell_keys, cache, self.max_requeues, task_queue.put)
+        if not payloads:
+            self.last_stats = {**coordinator.stats, "address": address}
+            return []
+
         manager_class = _make_queue_manager(task_queue, result_queue)
         # Local runs get a fresh random key per run; a fleet coordinator
         # honours a preset key from the environment, since remote hosts
@@ -438,246 +602,70 @@ class WorkQueueBackend(SchedulerBackend):
             except SystemExit:
                 pass  # serve_forever sys.exit(0)s on stop_event; keep the thread quiet
 
-        server_thread = threading.Thread(target=_serve, daemon=True)
-        server_thread.start()
+        threading.Thread(target=_serve, daemon=True).start()
         port = int(server.address[1])
-        stats["address"]["port"] = port
+        address["port"] = port
 
-        blobs = [pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL) for payload in payloads]
-        directives = self._cache_directives(payloads, cell_keys, cache)
-        entries: List[TaskEntry] = [
-            (task_id, blob, directives[task_id]) for task_id, blob in enumerate(blobs)
-        ]
+        entries = [task.entry for task in coordinator.tasks]
         for start in range(0, len(entries), self.batch):
             task_queue.put(entries[start : start + self.batch])
 
-        crash_initial, crash_respawn = self._FAULT_MODES[self.fault_injection]
+        crash, crash_respawn = self._FAULT_MODES[self.fault_injection]
         procs: Dict[str, subprocess.Popen] = {}
-        next_rank = 0
-        for _ in range(min(self.workers, len(entries))):
-            worker_id = str(next_rank)
-            procs[worker_id] = self._spawn_worker(worker_id, port, authkey_hex, crash_initial)
-            next_rank += 1
-
-        results: List[Optional[GroupResult]] = [None] * len(blobs)
-        cached_done: Dict[int, int] = {}  # task_id -> acked row count
-        pending = set(range(len(blobs)))
-        claims: Dict[int, str] = {}  # task_id -> worker_id currently holding it
-        attempts: Dict[int, int] = {task_id: 0 for task_id in pending}
-        task_workers: Dict[int, List[str]] = {task_id: [] for task_id in pending}
-        worker_cells: Dict[str, int] = {}
-        last_seen: Dict[str, float] = {}
-        failures: List[Dict[str, Any]] = []
-        worker_error: Optional[Tuple[int, str, str]] = None
+        ranks = itertools.count()
         deadline = None if self.timeout_s is None else time.monotonic() + self.timeout_s
-        lost_since: Optional[float] = None
-
-        def _requeue_or_fail(task_id: int, reason: str) -> None:
-            claims.pop(task_id, None)
-            if attempts[task_id] <= self.max_requeues:
-                task_queue.put([(task_id, blobs[task_id], directives[task_id])])
-                stats["requeues"] += 1
-            else:
-                pending.discard(task_id)
-                failures.append(
-                    {
-                        "task": task_id,
-                        "attempts": attempts[task_id],
-                        "workers": list(task_workers[task_id]),
-                        "reason": reason,
-                    }
-                )
-
-        def _evict(worker_id: str, detected: str, reason: str) -> None:
-            proc = procs.pop(worker_id, None)
-            if proc is not None and proc.poll() is None:
-                proc.kill()
-                proc.wait()
-            held = sorted(t for t, w in claims.items() if w == worker_id and t in pending)
-            for task_id in held:
-                _requeue_or_fail(task_id, reason)
-            stats["evictions"].append(
-                {"worker": worker_id, "detected": detected, "tasks": held}
-            )
-            last_seen.pop(worker_id, None)
-
         try:
-            while pending and worker_error is None:
+            while coordinator.running():
+                # Start the local workers, then replace the ones that died.
+                while len(procs) < min(self.workers, coordinator.unfinished):
+                    worker_id = str(next(ranks))
+                    procs[worker_id] = self._spawn_worker(worker_id, port, authkey_hex, crash)
+                crash = crash_respawn
                 try:
-                    message = result_queue.get(timeout=self.poll_interval_s)
-                except queue.Empty:
-                    message = None
-                if message is not None:
-                    kind = message[0]
-                    worker_id = str(message[1])
-                    if worker_id not in last_seen:
-                        stats["workers_seen"] += 1
-                    last_seen[worker_id] = time.monotonic()
-                    if kind == "claim":
-                        _, _, task_ids = message
-                        stats["task_batches"] += 1
-                        for task_id in task_ids:
-                            attempts[task_id] += 1
-                            claims[task_id] = worker_id
-                            task_workers[task_id].append(worker_id)
-                    elif kind == "done":
-                        _, _, task_id, result = message
-                        if task_id in pending:
-                            pending.discard(task_id)
-                            result_kind, value = result
-                            if result_kind == "cached":
-                                cached_done[task_id] = int(value)
-                                n_rows = int(value)
-                                stats["cache_rows_written"] += n_rows
-                            else:
-                                results[task_id] = value
-                                n_rows = len(value)
-                                stats["rows_shipped"] += n_rows
-                            worker_cells[worker_id] = worker_cells.get(worker_id, 0) + n_rows
-                        claims.pop(task_id, None)
-                    elif kind == "error":
-                        _, _, task_id, traceback_text = message
-                        worker_error = (task_id, worker_id, traceback_text)
-                    # "hello" and "heartbeat" only refresh last_seen.
+                    coordinator.receive(result_queue.get(timeout=_POLL_S), time.monotonic())
                     continue  # drain eagerly before liveness checks
-
-                # No message: check worker liveness and the deadline.
+                except queue.Empty:
+                    pass
                 now = time.monotonic()
                 for worker_id, proc in list(procs.items()):
-                    if proc.poll() is None:
-                        continue
-                    stats["workers_crashed"] += 1
-                    _evict(
-                        worker_id,
-                        "exit",
-                        f"worker crashed (exit {proc.returncode}); requeue budget "
-                        f"({self.max_requeues}) exhausted",
-                    )
-                # Heartbeat eviction: any worker (local *or* remote) holding
-                # claimed tasks that has gone silent past the timeout is dead
-                # to the run — a frozen host never exits, so poll() alone
-                # would wait out timeout_s.
-                silent = {
-                    worker_id
-                    for task_id, worker_id in claims.items()
-                    if task_id in pending
-                    and now - last_seen.get(worker_id, now) > self.heartbeat_timeout_s
-                }
-                for worker_id in silent:
-                    stats["heartbeat_evictions"] += 1
-                    _evict(
-                        worker_id,
-                        "heartbeat",
-                        f"worker silent for more than {self.heartbeat_timeout_s}s "
-                        f"(heartbeat eviction); requeue budget ({self.max_requeues}) "
-                        "exhausted",
-                    )
-                if self.workers > 0 and not failures:
-                    while pending and len(procs) < min(self.workers, len(pending)):
-                        worker_id = str(next_rank)
-                        procs[worker_id] = self._spawn_worker(
-                            worker_id, port, authkey_hex, crash_respawn
-                        )
-                        next_rank += 1
-                # Tasks lost in the claim window: a worker pulled a batch and
-                # died before sending its claim, so the tasks are in neither
-                # the queue nor the claim table.  Claims normally arrive
-                # within milliseconds; once unclaimed pending tasks have been
-                # missing from an *empty* queue for the full grace period,
-                # requeue them under the same budget (a loss counts as an
-                # attempt, keeping repeated losses bounded).
-                missing = [t for t in sorted(pending) if t not in claims]
-                if missing and task_queue.qsize() == 0:
-                    if lost_since is None:
-                        lost_since = now
-                    elif now - lost_since >= self.claim_grace_s:
-                        lost_since = None
-                        for task_id in missing:
-                            attempts[task_id] += 1
-                            _requeue_or_fail(
-                                task_id,
-                                "task lost before claim; requeue budget "
-                                f"({self.max_requeues}) exhausted",
-                            )
-                else:
-                    lost_since = None
-                if failures:
-                    break
+                    if proc.poll() is not None:
+                        del procs[worker_id]
+                        cause = f"worker crashed (exit {proc.returncode})"
+                        coordinator.evict(worker_id, "exit", cause)
+                # Heartbeat eviction: a frozen host never exits, so poll()
+                # alone would wait out timeout_s.
+                for worker_id in coordinator.silent_workers(now, self.heartbeat_timeout_s):
+                    proc = procs.pop(worker_id, None)
+                    if proc is not None:
+                        proc.kill()
+                        proc.wait()
+                    cause = f"worker silent for more than {self.heartbeat_timeout_s}s"
+                    coordinator.evict(worker_id, "heartbeat", cause + " (heartbeat eviction)")
                 if deadline is not None and now > deadline:
-                    raise WorkQueueError(
-                        f"work queue timed out after {self.timeout_s}s with "
-                        f"{len(pending)} of {len(blobs)} tasks unfinished",
-                        [
-                            {
-                                "task": task_id,
-                                "attempts": attempts[task_id],
-                                "workers": list(task_workers[task_id]),
-                                "reason": "timeout",
-                            }
-                            for task_id in sorted(pending)
-                        ],
-                    )
+                    raise coordinator.timeout_error(self.timeout_s)
         finally:
-            self._shutdown(procs, task_queue, server, len(last_seen))
+            self._shutdown(procs, task_queue, server)
 
-        if worker_error is not None:
-            task_id, worker_id, traceback_text = worker_error
-            raise RuntimeError(
-                f"cell group {task_id} raised in work-queue worker {worker_id}:\n"
-                f"{traceback_text}"
-            )
-        if failures:
-            detail = "; ".join(
-                f"task {f['task']} after {f['attempts']} attempts "
-                f"(workers {f['workers']})" for f in failures
-            )
-            raise WorkQueueError(f"work queue gave up on {len(failures)} task(s): {detail}", failures)
-
-        # Gather the direct-written rows from the shared cache: the workers
-        # shipped only acks, the coordinator reads the finished rows back by
-        # their serialized keys (the scatter-gather close of the loop).
-        if cached_done:
-            assert isinstance(cache, SqliteCellCache)  # directives imply it
-            for task_id, n_rows in cached_done.items():
-                directive = directives[task_id]
-                assert directive is not None
-                _, key_texts = directive
-                cell_args = payloads[task_id][6]
-                gathered: GroupResult = []
-                for (index, _, _, _), key_text in zip(cell_args, key_texts):
-                    assert key_text is not None
-                    row = cache.get_serialized(key_text)
-                    if row is None:
-                        raise WorkQueueError(
-                            f"worker acked {n_rows} cached rows for task {task_id} "
-                            f"but key {key_text!r} is missing from {cache.path!r}",
-                            [{"task": task_id, "attempts": attempts[task_id],
-                              "workers": list(task_workers[task_id]),
-                              "reason": "cache ack without cached row"}],
-                        )
-                    gathered.append((index, row))
-                results[task_id] = gathered
-
-        stats["worker_cell_counts"] = dict(sorted(worker_cells.items()))
-        self.last_stats = stats
-        return [result for result in results if result is not None]
+        results = coordinator.results()
+        cells = sorted(coordinator.stats["worker_cell_counts"].items())
+        self.last_stats = {**coordinator.stats, "worker_cell_counts": dict(cells), "address": address}
+        return results
 
     def _shutdown(
         self,
         procs: Mapping[str, "subprocess.Popen"],
         task_queue: "queue.Queue",
         server: Any,  # multiprocessing.managers Server (no public type)
-        n_known_workers: int,
     ) -> None:
-        # One sentinel per process we spawned, per worker we ever heard from
-        # (covers remote --connect workers), plus one spare.
-        for _ in range(len(procs) + n_known_workers + 1):
-            task_queue.put(None)  # sentinel: workers exit their loop
+        try:  # drop stale or abandoned batches; one sentinel wakes every worker
+            while True:
+                task_queue.get_nowait()
+        except queue.Empty:
+            task_queue.put(None)
         deadline = time.monotonic() + 5.0
         for proc in procs.values():
-            remaining = max(0.0, deadline - time.monotonic())
             try:
-                proc.wait(timeout=remaining)
+                proc.wait(timeout=max(0.0, deadline - time.monotonic()))
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
@@ -695,6 +683,13 @@ class WorkQueueBackend(SchedulerBackend):
         )
 
 
+#: Work-queue spec keys: the constructor's arguments, with ``bind`` and
+#: ``advertise`` standing for ``bind_host`` and ``advertise_host``.
+_WORK_QUEUE_SPEC_KEYS = ("workers", "max_requeues", "timeout_s", "fault_injection", "bind",
+                         "advertise", "port", "batch", "heartbeat_s", "heartbeat_timeout_s",
+                         "log_dir")
+
+
 def make_backend(backend: Any, default_workers: int = 1) -> SchedulerBackend:
     """Resolve the engine's ``backend`` argument to a backend instance.
 
@@ -707,7 +702,9 @@ def make_backend(backend: Any, default_workers: int = 1) -> SchedulerBackend:
     the fleet knobs ``bind``/``advertise``/``port`` (spelled ``bind_host``/
     ``advertise_host``/``port`` as constructor arguments), ``batch``,
     ``heartbeat_s``/``heartbeat_timeout_s`` and ``workers=0`` (no local
-    workers; remote hosts connect with the worker bootstrap one-liner)::
+    workers; remote hosts connect with the worker bootstrap one-liner).  Any
+    other key raises :class:`~repro.api.registry.RegistryError` naming the
+    accepted ones::
 
         make_backend("work-queue:bind=0.0.0.0,advertise=10.0.0.5,workers=0,batch=4")
     """
@@ -718,23 +715,27 @@ def make_backend(backend: Any, default_workers: int = 1) -> SchedulerBackend:
             return MultiprocessingBackend(workers=default_workers)
         return SerialBackend()
     if isinstance(backend, str):
-        from ..api.registry import RegistryError, parse_spec
+        from ..api.registry import RegistryError, check_spec_params, parse_spec
 
         name, params = parse_spec(backend)
         name = name.lower()
         if name == "serial":
+            check_spec_params(backend, params, ())
             return SerialBackend()
-        workers = int(params.pop("workers", max(default_workers, 2)))
+        workers = int(params.get("workers", max(default_workers, 2)))
         if name in ("multiprocessing", "mp", "pool"):
+            check_spec_params(backend, params, ("workers",))
             return MultiprocessingBackend(workers=workers)
         if name in ("work-queue", "workqueue", "queue"):
+            check_spec_params(backend, params, _WORK_QUEUE_SPEC_KEYS)
+            params["workers"] = workers
             # Spec spelling: bind=/advertise= (short, address-like); the
             # constructor spells them out.
             if "bind" in params:
                 params["bind_host"] = str(params.pop("bind"))
             if "advertise" in params:
                 params["advertise_host"] = str(params.pop("advertise"))
-            return WorkQueueBackend(workers=workers, **params)
+            return WorkQueueBackend(**params)
         raise RegistryError(
             f"unknown scheduler backend {backend!r}; choose 'serial', "
             "'multiprocessing[:workers=N]' or 'work-queue[:workers=N]'"

@@ -269,15 +269,18 @@ def make_cache_store(cache: Any) -> CellCacheStore:
     if cache is False:
         return NullCellCache()
     if isinstance(cache, str):
-        from ..api.registry import RegistryError, parse_spec
+        from ..api.registry import RegistryError, check_spec_params, parse_spec
 
         name, params = parse_spec(cache)
         name = name.lower()
         if name in ("memory", "in-memory", "dict"):
+            check_spec_params(cache, params, ())
             return InMemoryCellCache()
         if name in ("off", "none", "null", "disabled"):
+            check_spec_params(cache, params, ())
             return NullCellCache()
         if name == "sqlite":
+            check_spec_params(cache, params, ("path", "timeout_s"))
             path = params.get("path", "")
             if not path:
                 raise RegistryError(

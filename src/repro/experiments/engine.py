@@ -41,7 +41,7 @@ from __future__ import annotations
 import warnings
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union, cast
 
 from ..api.registry import (
     ATTACKS,
@@ -62,6 +62,7 @@ from .worlds import WORLDS, make_world, register_world
 __all__ = [
     "ExperimentSpec",
     "EvaluationEngine",
+    "MissingRowsError",
     "EvalContext",
     "WORLDS",
     "make_world",
@@ -306,6 +307,17 @@ def _evaluate_group(payload: Tuple) -> List[Tuple[int, Dict[str, Any]]]:
 # ---------------------------------------------------------------------------
 
 
+class MissingRowsError(RuntimeError):
+    """A scheduler backend returned no row for some cells of a run.
+
+    ``missing`` lists the cell indices (positions in ``spec.cells()``).
+    """
+
+    def __init__(self, message: str, missing: List[int]) -> None:
+        super().__init__(message)
+        self.missing = missing
+
+
 def _world_fingerprint(world: Any) -> Tuple:
     """A content fingerprint strong enough to key cached rows by.
 
@@ -507,7 +519,14 @@ class EvaluationEngine:
                     if key is not None:
                         self.cache_store.put(key, row)
 
-        return [row for row in rows if row is not None]
+        missing = [index for index, row in enumerate(rows) if row is None]
+        if missing:
+            raise MissingRowsError(
+                f"backend {self.backend!r} returned no row for cell(s) {missing} "
+                f"of spec {spec.name!r}",
+                missing,
+            )
+        return cast(List[Dict[str, Any]], rows)
 
     def clear_cache(self) -> None:
         """Drop all cached cells (and reset the hit/miss counters)."""

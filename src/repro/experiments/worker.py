@@ -12,9 +12,12 @@ with a clean message instead of hanging in the manager handshake — then:
 1. announces itself (``("hello", worker_id)``) and starts a daemon thread
    stamping ``("heartbeat", worker_id)`` every ``--heartbeat-s`` seconds, so
    the coordinator can tell a *slow* worker from a dead one,
-2. pulls a *batch* ``[(task_id, pickled_payload, cache_directive), ...]``
-   from the task queue (``None`` is the shutdown sentinel) and claims the
-   whole batch in one message (``("claim", worker_id, [task_ids])``),
+2. takes a *batch* ``[(task_id, pickled_payload, cache_directive), ...]``
+   with one ``claim(worker_id)`` call on the coordinator's dispatch
+   endpoint; the call runs in the coordinator, which records
+   ``("claim", worker_id, [task_ids])`` before it hands the batch over, so
+   no task is ever out of the queue yet unclaimed (``None`` is the shutdown
+   sentinel),
 3. evaluates each payload with the engine's ``_evaluate_group`` (the exact
    code every other backend runs), and per task either
 
@@ -41,7 +44,6 @@ import sys
 import threading
 import time
 import traceback
-from multiprocessing.managers import BaseManager
 from typing import Any, List, Optional, Tuple
 
 #: Exit codes (documented above; the CLI tests pin them).
@@ -76,19 +78,18 @@ def _connect_manager(
     address and retries nothing, so: first a cheap raw-socket probe with an
     explicit timeout (closed on every path), then the real handshake under a
     temporary global socket timeout (restored before any proxy is created —
-    the work loop's blocking ``tasks.get()`` must never time out).  A wrong
+    the work loop's blocking ``claim`` call must never time out).  A wrong
     authkey fails the handshake deterministically and is not retried;
     transient errors (refused, unreachable, reset) back off exponentially up
     to ``retries`` times.
     """
-
-    class _QueueManager(BaseManager):
-        pass
-
-    _QueueManager.register("get_task_queue")
-    _QueueManager.register("get_result_queue")
-
     import multiprocessing
+    import queue
+
+    from .backends import _make_queue_manager
+
+    # The coordinator's own manager class; on this side only its typeids count.
+    manager_class = _make_queue_manager(queue.Queue(), queue.Queue())
 
     last_error: Optional[BaseException] = None
     for attempt in range(retries + 1):
@@ -100,7 +101,7 @@ def _connect_manager(
         except OSError as error:
             last_error = error
             continue
-        manager = _QueueManager(address=(host, port), authkey=authkey)
+        manager = manager_class(address=(host, port), authkey=authkey)
         previous_timeout = socket.getdefaulttimeout()
         socket.setdefaulttimeout(connect_timeout_s)
         try:
@@ -181,7 +182,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not authkey_hex:
         print(f"worker {worker_id}: {AUTHKEY_ENV} not set", file=sys.stderr)
         return EXIT_USAGE
-    crash_mode = os.environ.get(CRASH_ENV)  # "claim" | "pre-claim" | "freeze" | unset
+    crash_mode = os.environ.get(CRASH_ENV)  # "claim" | "freeze" | unset
 
     try:
         manager = _connect_manager(
@@ -195,7 +196,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     except SystemExit as bailout:
         return int(bailout.code or 0)
-    tasks = manager.get_task_queue()
+    dispatch = manager.get_dispatch()
     results = manager.get_result_queue()
 
     heartbeat_stop = threading.Event()
@@ -220,14 +221,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         results.put(("hello", worker_id))
         heartbeat_thread.start()
         while True:
-            batch = tasks.get()
+            batch = dispatch.claim(worker_id)
             if batch is None:
                 return EXIT_OK
-            if crash_mode == "pre-claim":
-                # Fault injection: die inside the claim window — the batch is
-                # out of the queue but the coordinator has no claim record.
-                os._exit(18)
-            results.put(("claim", worker_id, [task_id for task_id, _, _ in batch]))
             if crash_mode == "claim":
                 # Fault injection: die the way a killed host would — no
                 # cleanup, no exception message, a bare non-zero exit.

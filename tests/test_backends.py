@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import os
+import queue
+import sys
+import threading
+
 import pytest
 
+from repro.api.registry import RegistryError
 from repro.experiments.backends import (
     AUTHKEY_ENV,
     MultiprocessingBackend,
     SerialBackend,
     WorkQueueBackend,
     WorkQueueError,
+    _Coordinator,
+    _TaskDispatch,
     make_backend,
 )
 from repro.experiments.cache import SqliteCellCache
@@ -73,23 +81,6 @@ class TestWorkQueueFaults:
         assert backend.last_stats["workers_crashed"] >= 1
         assert backend.last_stats["requeues"] >= 1
 
-    def test_task_lost_in_claim_window_is_recovered(self, world, serial_rows):
-        """A worker dying after queue.get() but before its claim message must
-        not hang the run: the lost task is detected after the claim grace
-        period and requeued within the same budget."""
-        backend = WorkQueueBackend(
-            workers=1,
-            timeout_s=300.0,
-            claim_grace_s=0.2,
-            fault_injection="crash-pre-claim",
-        )
-        rows = EvaluationEngine(backend=backend, cache=False).run(
-            _spec(), worlds={"world": world}
-        )
-        assert rows == serial_rows
-        assert backend.last_stats["workers_crashed"] >= 1
-        assert backend.last_stats["requeues"] >= 1
-
     def test_exhausted_requeues_surface_structured_failure(self, world):
         backend = WorkQueueBackend(workers=1, timeout_s=300.0, fault_injection="crash-always")
         with pytest.raises(WorkQueueError) as excinfo:
@@ -113,6 +104,186 @@ class TestWorkQueueFaults:
         backend = WorkQueueBackend(workers=1, timeout_s=300.0)
         with pytest.raises(RuntimeError, match="work-queue worker"):
             EvaluationEngine(backend=backend, cache=False).run(spec, worlds={"world": world})
+
+
+ROWS = [(0, {"metric": 1.0})]
+
+
+def _coordinator(n_tasks, cell_keys=None, cache=None):
+    """A coordinator over ``n_tasks`` one-cell payloads, plus its requeue log."""
+    payloads = [
+        ("world", "world", "full", 0, "raw", "identity", [(i, "none", None, ())], "batch")
+        for i in range(n_tasks)
+    ]
+    requeued = []
+    return _Coordinator(payloads, cell_keys, cache, 1, requeued.append), requeued
+
+
+class TestCoordinator:
+    """The coordinator's bookkeeping, driven message by message: no process,
+    no socket, no clock but the ``now`` each call passes."""
+
+    def test_claim_then_done(self):
+        coordinator, requeued = _coordinator(1)
+        coordinator.receive(("hello", "a"), 0.0)
+        coordinator.receive(("claim", "a", [0]), 0.1)
+        assert coordinator.tasks[0].state == "claimed" and coordinator.running()
+        coordinator.receive(("done", "a", 0, ("rows", ROWS)), 0.2)
+        assert not coordinator.running()
+        assert coordinator.results() == [ROWS]
+        assert requeued == []
+        stats = coordinator.stats
+        assert (stats["task_batches"], stats["rows_shipped"], stats["workers_seen"]) == (1, 1, 1)
+        assert stats["worker_cell_counts"] == {"a": 1}
+
+    def test_crash_eviction_requeues_then_exhausts_the_budget(self):
+        coordinator, requeued = _coordinator(1)
+        for worker in ("a", "b"):
+            coordinator.receive(("hello", worker), 0.0)
+            coordinator.receive(("claim", worker, [0]), 0.0)
+            coordinator.evict(worker, "exit", "worker crashed (exit 17)")
+        assert requeued == [[coordinator.tasks[0].entry]]  # once, after "a"
+        assert not coordinator.running()
+        assert coordinator.failures == [
+            {
+                "task": 0,
+                "attempts": 2,
+                "workers": ["a", "b"],
+                "reason": "worker crashed (exit 17); requeue budget (1) exhausted",
+            }
+        ]
+        with pytest.raises(WorkQueueError, match="gave up on 1 task") as excinfo:
+            coordinator.results()
+        assert excinfo.value.failures == coordinator.failures
+        stats = coordinator.stats
+        assert (stats["workers_crashed"], stats["requeues"]) == (2, 1)
+        assert stats["evictions"] == [
+            {"worker": "a", "detected": "exit", "tasks": [0]},
+            {"worker": "b", "detected": "exit", "tasks": [0]},
+        ]
+
+    def test_claim_for_evicted_worker_is_requeued_at_once(self):
+        """A dead worker's server thread can still take a batch after the
+        eviction; the claim it posts goes straight back to the queue."""
+        coordinator, requeued = _coordinator(2)
+        coordinator.receive(("hello", "a"), 0.0)
+        coordinator.evict("a", "exit", "worker crashed (exit -9)")
+        coordinator.receive(("claim", "a", [1]), 0.5)
+        assert requeued == [[coordinator.tasks[1].entry]]
+        task = coordinator.tasks[1]
+        assert (task.state, task.attempts, task.workers) == ("pending", 1, ["a"])
+        assert coordinator.stats["evictions"] == [{"worker": "a", "detected": "exit", "tasks": []}]
+        assert coordinator.silent_workers(100.0, 1.0) == []
+
+    def test_only_worker_messages_refresh_the_heartbeat_clock(self):
+        coordinator, _ = _coordinator(1)
+        coordinator.receive(("hello", "a"), 0.0)
+        coordinator.receive(("claim", "a", [0]), 5.0)  # posted by the coordinator
+        assert coordinator.silent_workers(5.0, 2.0) == ["a"]
+        coordinator.receive(("heartbeat", "a"), 5.0)
+        assert coordinator.silent_workers(5.0, 2.0) == []
+
+    def test_late_done_for_requeued_task_is_counted_once(self):
+        coordinator, requeued = _coordinator(1)
+        coordinator.receive(("hello", "a"), 0.0)
+        coordinator.receive(("claim", "a", [0]), 0.0)
+        assert coordinator.silent_workers(5.0, 2.0) == ["a"]
+        coordinator.evict("a", "heartbeat", "worker silent for more than 2.0s")
+        assert requeued == [[coordinator.tasks[0].entry]]
+        coordinator.receive(("done", "a", 0, ("rows", ROWS)), 6.0)  # the host woke up
+        coordinator.receive(("hello", "b"), 6.0)
+        coordinator.receive(("claim", "b", [0]), 6.0)  # the requeued copy
+        coordinator.receive(("done", "b", 0, ("rows", ROWS)), 6.5)
+        assert coordinator.results() == [ROWS]
+        stats = coordinator.stats
+        assert (stats["rows_shipped"], stats["heartbeat_evictions"]) == (1, 1)
+        assert stats["worker_cell_counts"] == {"a": 1}
+
+    def test_ack_without_cached_row_raises(self, tmp_path):
+        cache = SqliteCellCache(str(tmp_path / "cells.sqlite"))
+        key_text = 'v2:["cell-0"]'
+        try:
+            coordinator, _ = _coordinator(1, cell_keys=[[key_text]], cache=cache)
+            assert coordinator.tasks[0].entry[2] == (os.path.abspath(cache.path), (key_text,))
+            coordinator.receive(("hello", "a"), 0.0)
+            coordinator.receive(("claim", "a", [0]), 0.0)
+            coordinator.receive(("done", "a", 0, ("cached", 1)), 0.1)
+            assert coordinator.stats["cache_rows_written"] == 1
+            with pytest.raises(WorkQueueError, match="is missing from") as excinfo:
+                coordinator.results()
+            assert excinfo.value.failures == [
+                {"task": 0, "attempts": 1, "workers": ["a"],
+                 "reason": "cache ack without cached row"}
+            ]
+            cache.put_serialized(key_text, {"metric": 1.0})
+            assert coordinator.results() == [[(0, {"metric": 1.0})]]
+        finally:
+            cache.close()
+
+    def test_partially_cacheable_task_ships_rows(self, tmp_path):
+        cache = SqliteCellCache(str(tmp_path / "cells.sqlite"))
+        coordinator, _ = _coordinator(2, cell_keys=[[None], ['v2:["cell-1"]']], cache=cache)
+        assert [task.entry[2] is None for task in coordinator.tasks] == [True, False]
+        coordinator, _ = _coordinator(1, cell_keys=[['v2:["cell-0"]']], cache=None)
+        assert coordinator.tasks[0].entry[2] is None
+
+    def test_timeout_error_lists_every_open_task(self):
+        coordinator, _ = _coordinator(2)
+        coordinator.receive(("hello", "a"), 0.0)
+        coordinator.receive(("claim", "a", [0]), 0.0)
+        error = coordinator.timeout_error(3.0)
+        assert "2 of 2 tasks unfinished" in str(error)
+        assert error.failures == [
+            {"task": 0, "attempts": 1, "workers": ["a"], "reason": "timeout"},
+            {"task": 1, "attempts": 0, "workers": [], "reason": "timeout"},
+        ]
+
+    def test_worker_exception_is_reraised(self):
+        coordinator, _ = _coordinator(1)
+        coordinator.receive(("claim", "a", [0]), 0.0)
+        coordinator.receive(("error", "a", 0, "Traceback: boom"), 0.1)
+        assert not coordinator.running()
+        with pytest.raises(RuntimeError, match="raised in work-queue worker a:\nTraceback: boom"):
+            coordinator.results()
+
+
+class TestTaskDispatch:
+    def test_concurrent_claims_hand_out_each_batch_once(self):
+        """More claimers than cores, a tiny switch interval: every batch goes
+        to exactly one claimer, its claim is posted under that claimer's id,
+        and the one shutdown sentinel stops them all."""
+        tasks, results = queue.Queue(), queue.Queue()
+        dispatch = _TaskDispatch(tasks, results)
+        for task_id in range(400):
+            tasks.put([(task_id, b"", None)])
+        got = {f"w{i}": [] for i in range(8)}
+
+        def claimer(worker_id):
+            while True:
+                batch = dispatch.claim(worker_id)
+                if batch is None:
+                    return
+                got[worker_id].extend(task_id for task_id, _, _ in batch)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=claimer, args=(w,), daemon=True) for w in got]
+            for thread in threads:
+                thread.start()
+            tasks.put(None)
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive(), "a claimer missed the sentinel"
+        finally:
+            sys.setswitchinterval(previous)
+        assert sorted(t for ids in got.values() for t in ids) == list(range(400))
+        posted = {w: [] for w in got}
+        while not results.empty():
+            kind, worker_id, task_ids = results.get_nowait()
+            assert kind == "claim"
+            posted[worker_id].extend(task_ids)
+        assert posted == got
 
 
 class TestFleetPath:
@@ -282,6 +453,26 @@ class TestMakeBackend:
     def test_invalid_fault_injection_rejected(self):
         with pytest.raises(ValueError, match="fault_injection"):
             WorkQueueBackend(fault_injection="typo")
+        with pytest.raises(ValueError, match="fault_injection"):
+            WorkQueueBackend(fault_injection="crash-pre-claim")
+
+    @pytest.mark.parametrize(
+        "spec, unknown, accepted",
+        [
+            ("serial:workers=3", "workers", "none"),
+            ("multiprocessing:workers=4,batch=2", "batch", "workers"),
+            ("work-queue:wrokers=2", "wrokers", "workers"),
+            ("work-queue:workers=2,claim_grace_s=0.2", "claim_grace_s", "heartbeat_s"),
+            ("work-queue:poll_interval_s=0.1", "poll_interval_s", "max_requeues"),
+            ("work-queue:bind_host=0.0.0.0", "bind_host", "bind"),
+        ],
+    )
+    def test_unknown_spec_parameters_rejected(self, spec, unknown, accepted):
+        with pytest.raises(RegistryError, match="unknown parameter") as excinfo:
+            make_backend(spec)
+        named, _, listed = str(excinfo.value).partition("accepted:")
+        assert unknown in named
+        assert accepted in [name.strip() for name in listed.split(",")]
 
     def test_fleet_spec_knobs(self):
         wq = make_backend(

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.api.registry import RegistryError
 from repro.experiments.cache import (
     InMemoryCellCache,
     NullCellCache,
@@ -74,6 +75,26 @@ class TestStoreBasics:
             make_cache_store("redis:host=nope")
         with pytest.raises(TypeError):
             make_cache_store(3.14)
+
+    @pytest.mark.parametrize(
+        "spec, unknown, accepted",
+        [
+            ("memory:foo=1", "foo", "none"),
+            ("off:path=x.sqlite", "path", "none"),
+            ("sqlite:path=x.sqlite,tmeout_s=5", "tmeout_s", "timeout_s"),
+        ],
+    )
+    def test_unknown_spec_parameters_rejected(self, spec, unknown, accepted):
+        with pytest.raises(RegistryError, match="unknown parameter") as excinfo:
+            make_cache_store(spec)
+        named, _, listed = str(excinfo.value).partition("accepted:")
+        assert unknown in named
+        assert accepted in [name.strip() for name in listed.split(",")]
+
+    def test_sqlite_spec_timeout_reaches_the_store(self, tmp_path):
+        path = tmp_path / "c.sqlite"
+        assert make_cache_store(f"sqlite:path={path}").timeout_s == 30.0
+        assert make_cache_store(f"sqlite:path={path},timeout_s=5").timeout_s == 5.0
 
     def test_serialized_accessors_alias_tuple_accessors(self, tmp_path):
         """put/get and put_serialized/get_serialized address the same rows:

@@ -7,9 +7,11 @@ import pytest
 
 from repro.api.registry import RegistryError
 from repro.experiments import engine as engine_module
+from repro.experiments.backends import SchedulerBackend, SerialBackend
 from repro.experiments.engine import (
     EvaluationEngine,
     ExperimentSpec,
+    MissingRowsError,
     make_world,
 )
 from repro.experiments.runner import run_poi_retrieval, run_spatial_distortion
@@ -182,6 +184,36 @@ class TestEvaluationEngine:
         )
         row = EvaluationEngine().run(spec, worlds={"world": world})[0]
         assert "cov_f_score" in row and "median_m" in row
+
+
+class _LossyBackend(SchedulerBackend):
+    """Evaluates every payload but the last, as a faulty scheduler would."""
+
+    def map_groups(self, payloads, cell_keys=None, cache=None):
+        return SerialBackend().map_groups(payloads[:-1])
+
+
+class TestMissingRows:
+    def test_dropped_payload_raises_naming_the_cells(self, world):
+        spec = ExperimentSpec(
+            name="lossy",
+            mechanisms=["identity", "downsampling:factor=10"],
+            metrics=["point-retention"],
+            worlds=["world"],
+        )
+        with pytest.raises(MissingRowsError, match=r"cell\(s\) \[1\]") as excinfo:
+            EvaluationEngine(backend=_LossyBackend(), cache=False).run(
+                spec, worlds={"world": world}
+            )
+        assert excinfo.value.missing == [1]
+
+    def test_cached_cells_are_not_missing(self, world):
+        """Cells served from the cache never reach the backend."""
+        spec = _basic_spec()
+        engine = EvaluationEngine()
+        rows = engine.run(spec, worlds={"world": world})
+        engine.backend = _LossyBackend()
+        assert engine.run(spec, worlds={"world": world}) == rows
 
 
 class TestRunnerSchemaParity:

@@ -21,7 +21,7 @@ import threading
 
 import pytest
 
-from repro.experiments import backend_check, worker
+from repro.experiments import backend_check, backends, worker
 from repro.experiments.backends import (
     AUTHKEY_ENV,
     CRASH_ENV,
@@ -40,16 +40,12 @@ def queue_server(monkeypatch):
 
     Yields ``(host, port, task_queue, result_queue)`` — the queues are the
     real local objects, so tests can seed tasks and inspect results without
-    going through proxies themselves.
+    going through proxies themselves.  The server is the coordinator's own
+    (``backends._make_queue_manager``), claim endpoint included.
     """
-    from multiprocessing.managers import BaseManager
-
     tasks: "queue.Queue" = queue.Queue()
     results: "queue.Queue" = queue.Queue()
-    # A fresh subclass per test keeps the registry from leaking across tests.
-    manager_cls = type("_TestQueueManager", (BaseManager,), {})
-    manager_cls.register("get_task_queue", callable=lambda: tasks)
-    manager_cls.register("get_result_queue", callable=lambda: results)
+    manager_cls = backends._make_queue_manager(tasks, results)
     manager = manager_cls(
         address=("127.0.0.1", 0), authkey=_AUTHKEY.encode("ascii")
     )
@@ -160,16 +156,13 @@ class TestWorkerConnectFailures:
         assert "authentication failed" in capsys.readouterr().err
 
     def test_coordinator_death_mid_run_is_exit_4(self, monkeypatch, capsys):
-        """A worker blocked on the task queue whose coordinator dies must
+        """A worker blocked in its claim call whose coordinator dies must
         exit 4 ("lost connection"), not hang forever."""
         monkeypatch.setenv(AUTHKEY_ENV, _AUTHKEY)
         server_script = (
-            "import queue, sys\n"
-            "from multiprocessing.managers import BaseManager\n"
-            "tasks = queue.Queue(); results = queue.Queue()\n"
-            "class M(BaseManager): pass\n"
-            "M.register('get_task_queue', callable=lambda: tasks)\n"
-            "M.register('get_result_queue', callable=lambda: results)\n"
+            "import queue\n"
+            "from repro.experiments.backends import _make_queue_manager\n"
+            "M = _make_queue_manager(queue.Queue(), queue.Queue())\n"
             f"m = M(address=('127.0.0.1', 0), authkey={_AUTHKEY.encode('ascii')!r})\n"
             "s = m.get_server()\n"
             "print(s.address[1], flush=True)\n"
@@ -179,6 +172,7 @@ class TestWorkerConnectFailures:
             [sys.executable, "-c", server_script],
             stdout=subprocess.PIPE,
             text=True,
+            env=WorkQueueBackend._worker_env(_AUTHKEY, None),
         )
         try:
             port = int(proc.stdout.readline())
@@ -298,6 +292,32 @@ class TestWorkerProtocol:
             assert store.get_serialized(key_texts[1]) == {"metric": 2.0}
         finally:
             store.close()
+
+    def test_one_sentinel_stops_every_waiting_worker(self, queue_server):
+        """Each claim that takes the shutdown ``None`` puts it back, so the
+        coordinator needs no count of the workers it has to stop."""
+        host, port, tasks, results = queue_server
+        exit_codes: list = []
+        runners = [
+            threading.Thread(
+                target=lambda rank=rank: exit_codes.append(
+                    worker.main(_worker_argv(host, port, rank=rank))
+                ),
+                daemon=True,
+            )
+            for rank in ("a", "b")
+        ]
+        for runner in runners:
+            runner.start()
+        hellos = {results.get(timeout=30.0) for _ in runners}
+        assert hellos == {("hello", "a"), ("hello", "b")}
+        tasks.put(None)
+        for runner in runners:
+            runner.join(timeout=30.0)
+            assert not runner.is_alive(), "a waiting worker missed the sentinel"
+        assert exit_codes == [0, 0]
+        assert _drain(results) == []
+        assert tasks.get_nowait() is None  # put back for whoever claims next
 
     def test_default_worker_id_is_host_and_pid(self, queue_server):
         host, port, tasks, results = queue_server
